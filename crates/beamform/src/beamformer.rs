@@ -1,8 +1,8 @@
 //! The delay-and-sum kernel (Eq. 1) over any delay engine.
 //!
 //! The volume path mirrors the paper's architecture: delays are consumed
-//! as per-nappe slabs ([`DelayEngine::fill_nappe`]) rather than per-voxel
-//! queries, and the steering fan is split into [`NappeSchedule`] tiles
+//! as per-nappe slabs ([`DelayEngine::fill_nappe_rx_streamed`]) rather
+//! than per-voxel queries, and the steering fan is split into [`NappeSchedule`] tiles
 //! beamformed in parallel — each worker owns one tile's slab and walks
 //! the nappes in depth order, exactly like a Fig. 4 block bound to its
 //! correction registers. The output volume is bit-identical to the scalar
@@ -41,10 +41,11 @@ pub(crate) fn scatter_tile(out: &mut BeamformedVolume, tile: Tile, values: &[f64
     }
 }
 
-/// Warm per-tile state: one task's delay slab, output staging buffer and
-/// the three row-length scratch buffers of the vectorized inner kernel
-/// (compacted delay row → quantized index row → gathered sample row),
-/// allocated once at construction and refilled every frame. One
+/// Warm per-tile state: one task's receive-leg slab, output staging
+/// buffer, per-voxel mask weights and the row-length scratch buffers of
+/// the tile kernel (combined delay row → compacted delay row → quantized
+/// index row → gathered sample row), allocated once at construction and
+/// refilled every frame. One
 /// definition shared by [`VolumeLoop`](crate::VolumeLoop) and
 /// [`FramePipeline`](crate::FramePipeline) (and through the latter,
 /// [`ShardedRuntime`](crate::ShardedRuntime)), so the warm-state shape
@@ -53,31 +54,25 @@ pub(crate) fn scatter_tile(out: &mut BeamformedVolume, tile: Tile, values: &[f64
 pub struct TileState {
     pub(crate) slab: NappeDelays,
     pub(crate) values: Vec<f64>,
-    /// Active elements' delays of one scanline row, compacted out of the
-    /// slab row (bypassed when the aperture is full — the slab row is
-    /// already the active row).
+    /// Active elements' delays of one scanline row, compacted out of
+    /// `tx_row` (bypassed when the aperture is full — `tx_row` is already
+    /// the active row).
     pub(crate) delays: Vec<f64>,
     /// The quantized echo-buffer index row, filled by one
     /// [`DelayEngine::quantize_row`] call per (nappe, scanline).
     pub(crate) indices: Vec<i32>,
     /// The gathered sample row the weighted accumulate consumes.
     pub(crate) samples: Vec<f64>,
-    /// Low-resolution-image staging for compound sequences: one
-    /// transmit's tile volume, re-beamformed per angle and accumulated
-    /// into `values`. Empty for the classic single point-source emission
-    /// (which beamforms straight into `values`).
-    pub(crate) lri: Vec<f64>,
-    /// One combined per-transmit delay row of the factored compound
-    /// kernel: [`DelayEngine::combine_tx_row`] writes the transmit term
-    /// folded onto the receive-leg slab row here, per (voxel, transmit).
-    /// Sized to the full element row; empty for the single point-source
-    /// emission (which never runs the factored loop).
+    /// One combined per-transmit delay row:
+    /// [`DelayEngine::combine_tx_row`] writes the transmit term folded
+    /// onto the receive-leg slab row here, per (voxel, transmit). Sized
+    /// to the full element row.
     pub(crate) tx_row: Vec<f64>,
-    /// Compound mask weights, `[transmit][scanline-within-tile][depth]`
-    /// (same inner layout as `values`): the per-voxel insonification
-    /// weight of each transmit, precomputed at construction so the warm
-    /// accumulate is a pure multiply-add with an explicit zero skip.
-    /// Empty for the single point-source emission.
+    /// Mask weights, `[transmit][scanline-within-tile][depth]` (same
+    /// inner layout as `values`): the per-voxel insonification weight of
+    /// each transmit of the spec's sequence, precomputed at construction
+    /// so the warm accumulate is a pure multiply-add with an explicit
+    /// zero skip. A single point-source emission is one block of 1s.
     pub(crate) tx_weights: Vec<f64>,
     /// I/Q scratch for the fused post-processing chain (empty when the
     /// beamformer carries no chain).
@@ -86,45 +81,32 @@ pub struct TileState {
 
 impl TileState {
     /// Allocates the warm state for one schedule tile of `beamformer`'s
-    /// spec: the delay slab, the `[scanline][depth]` staging buffer and
-    /// the kernel's three scratch rows, sized to the compacted aperture.
+    /// spec: the delay slab, the `[scanline][depth]` staging buffer, the
+    /// kernel's scratch rows (sized to the compacted aperture) and every
+    /// transmit's per-voxel mask weight, so the warm accumulate never
+    /// calls back into geometry.
     #[must_use]
     pub fn new(beamformer: &Beamformer, tile: Tile) -> Self {
         let spec = beamformer.spec();
         let active = beamformer.aperture().len();
         let n_depth = spec.volume_grid.n_depth();
         let n_values = tile.scanlines() * n_depth;
-        let (lri, tx_weights) = if spec.is_single_point_source() {
-            (Vec::new(), Vec::new())
-        } else {
-            // Compound sequence: stage each angle's low-resolution image
-            // and precompute every transmit's per-voxel mask weight in
-            // the `values` layout, so the warm accumulate never calls
-            // back into geometry.
-            let mut weights = vec![0.0; spec.n_transmits() * n_values];
-            for tx in 0..spec.n_transmits() {
-                let block = &mut weights[tx * n_values..(tx + 1) * n_values];
-                for (slot, it, ip) in tile.iter_scanlines() {
-                    for id in 0..n_depth {
-                        let s = spec.volume_grid.position(VoxelIndex::new(it, ip, id));
-                        block[slot * n_depth + id] = spec.transmit_weight(tx, s);
-                    }
+        let mut tx_weights = vec![0.0; spec.n_transmits() * n_values];
+        for (tx, block) in tx_weights.chunks_exact_mut(n_values).enumerate() {
+            for (slot, it, ip) in tile.iter_scanlines() {
+                for id in 0..n_depth {
+                    let s = spec.volume_grid.position(VoxelIndex::new(it, ip, id));
+                    block[slot * n_depth + id] = spec.transmit_weight(tx, s);
                 }
             }
-            (vec![0.0; n_values], weights)
-        };
+        }
         TileState {
             slab: NappeDelays::for_tile(spec, tile),
             values: vec![0.0; n_values],
             delays: vec![0.0; active],
             indices: vec![0; active],
             samples: vec![0.0; active],
-            tx_row: if spec.is_single_point_source() {
-                Vec::new()
-            } else {
-                vec![0.0; spec.elements.count()]
-            },
-            lri,
+            tx_row: vec![0.0; spec.elements.count()],
             tx_weights,
             post_scratch: if beamformer.postproc().is_empty() {
                 PostScratch::default()
@@ -336,10 +318,9 @@ impl Beamformer {
 
     /// Sets the aperture-sum reduction mode. [`Reduction::Wide4`] trades
     /// the historical sequential-sum bit pattern for ~4 FP adds in
-    /// flight; every path of this beamformer (scalar walk, tile kernels,
-    /// fused and factored compound loops) switches together, so the
-    /// batched-vs-scalar bit-identity invariant is preserved within the
-    /// chosen mode.
+    /// flight; every path of this beamformer (scalar walk and tile kernel
+    /// alike) switches together, so the batched-vs-scalar bit-identity
+    /// invariant is preserved within the chosen mode.
     #[must_use = "with_reduction returns the configured beamformer; dropping it discards the mode"]
     pub fn with_reduction(mut self, reduction: Reduction) -> Self {
         self.reduction = reduction;
@@ -492,9 +473,9 @@ impl Beamformer {
     ///
     /// Nappe-by-nappe order (the default) runs the batched pipeline:
     /// parallel over [`NappeSchedule`] tiles on the persistent
-    /// `usbf_par` pool, one delay slab per (tile, nappe) via
-    /// [`DelayEngine::fill_nappe`]. Scanline-by-scanline order keeps the
-    /// scalar per-voxel walk as the reference path. Both produce
+    /// `usbf_par` pool, one receive-leg slab per (tile, nappe) via
+    /// [`DelayEngine::fill_nappe_rx_streamed`]. Scanline-by-scanline order
+    /// keeps the scalar per-voxel walk as the reference path. Both produce
     /// bit-identical volumes. For repeated frames, prefer
     /// [`VolumeLoop`](crate::VolumeLoop), which reuses this path's slabs
     /// and buffers across calls.
@@ -564,22 +545,28 @@ impl Beamformer {
     /// is the allocation-free kernel [`VolumeLoop`](crate::VolumeLoop)
     /// and [`FramePipeline`](crate::FramePipeline) drive every frame.
     ///
-    /// The kernel is split by interpolation mode into two monomorphized
-    /// inner loops chosen **once per tile** (no per-element dispatch),
-    /// each structured as row-batched stages: one
-    /// [`DelayEngine::quantize_row`] (or direct fractional-delay) pass
-    /// per (nappe, scanline) row, one [`RfFrame`] gather into the
-    /// state's sample row, one chunked multiply-accumulate over the
-    /// compacted aperture weights. Output is bit-identical to the scalar
+    /// Every spec runs the same loop: the paper's single point-source
+    /// emission is a compound of one transmit with mask weight 1. Per
+    /// nappe the transmit-invariant receive leg is filled once
+    /// ([`DelayEngine::fill_nappe_rx_streamed`]); per voxel each transmit
+    /// combines its term onto the cached row
+    /// ([`DelayEngine::combine_tx_row`]) and runs row-batched stages —
+    /// compact to the active aperture, one [`DelayEngine::quantize_row`]
+    /// (nearest fetch only), one [`RfFrame`] gather, one chunked
+    /// multiply-accumulate — weighted by its mask into the voxel. The
+    /// gather is chosen **once per tile** by interpolation mode (no
+    /// per-element dispatch). Output is bit-identical to the scalar
     /// [`beamform_voxel`](Self::beamform_voxel) walk, and engines'
     /// rounding telemetry (TABLESTEER clamp counts) advances exactly as
-    /// the per-element path would.
+    /// per-element queries over every (voxel, transmit) pair would.
     ///
     /// # Panics
     ///
-    /// Panics if `state` was built for a different spec or aperture
-    /// shape, or (for a compound sequence) if the engine or RF frame
-    /// does not carry every transmit of the spec's sequence.
+    /// Panics if `state` was built for a different spec, transmit
+    /// sequence or aperture shape (its `values`, `indices`, `tx_row` or
+    /// `tx_weights` lengths disagree with this beamformer), or if the
+    /// engine or RF frame does not carry every transmit of the spec's
+    /// sequence.
     pub fn beamform_tile_into(
         &self,
         engine: &dyn DelayEngine,
@@ -588,6 +575,7 @@ impl Beamformer {
     ) {
         let tile = state.slab.tile();
         let n_depth = self.spec.volume_grid.n_depth();
+        let n_tx = self.spec.n_transmits();
         assert_eq!(
             state.values.len(),
             tile.scanlines() * n_depth,
@@ -598,85 +586,29 @@ impl Beamformer {
             self.aperture.len(),
             "scratch rows must match the compacted aperture"
         );
-        let TileState {
-            slab,
-            values,
-            delays,
-            indices,
-            samples,
-            tx_row,
-            lri,
-            tx_weights,
-            post_scratch,
-        } = state;
-        if self.spec.is_single_point_source() {
-            // The classic single-emission path: beamform straight into
-            // the staging buffer, exactly as before compounding existed.
-            match self.interpolation {
-                Interpolation::Nearest => {
-                    self.tile_kernel_nearest(engine, rf, 0, slab, values, delays, indices, samples)
-                }
-                Interpolation::Linear => {
-                    self.tile_kernel_linear(engine, rf, 0, slab, values, delays, samples)
-                }
-            }
-        } else {
-            // Coherent compounding: beamform each transmit's
-            // low-resolution image into the staging buffer and
-            // mask-weight it into the accumulator. The zero-weight skip
-            // is a correctness requirement, not an optimization: outside
-            // a steered wave's footprint the LRI value is meaningless
-            // (and may be non-finite under hostile inputs), so it must
-            // never enter the arithmetic — `0.0 * NaN` is NaN.
-            let n_tx = self.spec.n_transmits();
-            assert_eq!(
-                engine.transmit_count(),
-                n_tx,
-                "engine must cover the spec's transmit sequence"
-            );
-            assert_eq!(
-                rf.n_transmits(),
-                n_tx,
-                "RF frame must hold every transmit acquisition"
-            );
-            values.fill(0.0);
-            let n_values = values.len();
-            if engine.supports_factored_fill() {
-                // Factored compound loop: the transmit-invariant receive
-                // leg is generated ONCE per (nappe, tile) via
-                // `fill_nappe_rx_streamed`, and each transmit only adds
-                // its per-voxel scalar term onto the cached row —
-                // per-angle delay-generation cost drops from
-                // O(N·elements) to O(elements + N) per voxel. Per-voxel
-                // accumulation stays transmit-ascending, so the output is
-                // bit-identical to the fused per-transmit loop below.
-                match self.interpolation {
-                    Interpolation::Nearest => self.tile_compound_factored_nearest(
-                        engine, rf, n_tx, slab, values, tx_row, delays, indices, samples,
-                        tx_weights,
-                    ),
-                    Interpolation::Linear => self.tile_compound_factored_linear(
-                        engine, rf, n_tx, slab, values, tx_row, delays, samples, tx_weights,
-                    ),
-                }
-            } else {
-                for tx in 0..n_tx {
-                    match self.interpolation {
-                        Interpolation::Nearest => self.tile_kernel_nearest(
-                            engine, rf, tx, slab, lri, delays, indices, samples,
-                        ),
-                        Interpolation::Linear => {
-                            self.tile_kernel_linear(engine, rf, tx, slab, lri, delays, samples)
-                        }
-                    }
-                    let mask = &tx_weights[tx * n_values..(tx + 1) * n_values];
-                    for ((v, &l), &m) in values.iter_mut().zip(lri.iter()).zip(mask) {
-                        if m != 0.0 {
-                            *v += m * l;
-                        }
-                    }
-                }
-            }
+        assert_eq!(
+            state.tx_row.len(),
+            state.slab.n_elements(),
+            "combine row must span the element row"
+        );
+        assert_eq!(
+            state.tx_weights.len(),
+            n_tx * state.values.len(),
+            "mask weights must cover every transmit of the sequence"
+        );
+        assert_eq!(
+            engine.transmit_count(),
+            n_tx,
+            "engine must cover the spec's transmit sequence"
+        );
+        assert_eq!(
+            rf.n_transmits(),
+            n_tx,
+            "RF frame must hold every transmit acquisition"
+        );
+        match self.interpolation {
+            Interpolation::Nearest => self.tile_kernel::<true>(engine, rf, state),
+            Interpolation::Linear => self.tile_kernel::<false>(engine, rf, state),
         }
         if !self.post.is_empty() {
             // Fused post-processing: each scanline column runs through
@@ -685,105 +617,61 @@ impl Beamformer {
             // scratch (no heap traffic on the warm path). Columns are
             // independent, so per-tile application is bit-identical to
             // the whole-volume pass of the scalar reference.
-            for column in values.chunks_exact_mut(n_depth) {
-                self.post.apply_column(column, post_scratch);
+            for column in state.values.chunks_exact_mut(n_depth) {
+                self.post.apply_column(column, &mut state.post_scratch);
             }
         }
     }
 
-    /// The nearest-index kernel: slab row → (compact) → quantized index
-    /// row → gathered sample row → weighted accumulate.
+    /// The tile kernel, generic over the gather: `NEAREST` quantizes each
+    /// combined row through the engine's rounding stage and fetches the
+    /// nearest sample; otherwise the fractional delays feed a linear
+    /// interpolating gather directly.
     ///
-    /// Rows are consumed through
-    /// [`DelayEngine::fill_nappe_streamed`], so for engines with a
-    /// batched fill the gather/MAC of row *s* is software-pipelined
-    /// against the generation of row *s + 1* (cache-hot rows, fill
-    /// latency hidden behind the accumulate); engines on the default
-    /// fill see the same row sequence after the slab completes. Row
-    /// order and all per-row arithmetic are unchanged, so the output
-    /// (and the engines' rounding telemetry) stays bit-identical to the
-    /// fill-then-consume schedule.
-    #[allow(clippy::too_many_arguments)]
-    fn tile_kernel_nearest(
+    /// Per voxel, transmits accumulate in ascending order into a zeroed
+    /// value. A zero mask weight is **skipped**, never multiplied:
+    /// outside a steered wave's footprint the per-transmit sum is
+    /// meaningless (and may be non-finite under hostile inputs), and
+    /// `0.0 * NaN` is NaN. When the rounding stage is side-effect-free
+    /// (always for the linear gather, and when
+    /// [`DelayEngine::rounding_telemetry`] is `false`) the whole masked
+    /// body is skipped. Engines **with** rounding telemetry (TABLESTEER's
+    /// clamp counter) still combine and quantize masked pairs so their
+    /// counters advance exactly as scalar queries over every pair would;
+    /// only the gather/MAC/accumulate is skipped there.
+    fn tile_kernel<const NEAREST: bool>(
         &self,
         engine: &dyn DelayEngine,
         rf: &RfFrame,
-        tx: usize,
-        slab: &mut NappeDelays,
-        out: &mut [f64],
-        delays: &mut [f64],
-        indices: &mut [i32],
-        samples: &mut [f64],
+        state: &mut TileState,
     ) {
-        let n_depth = self.spec.volume_grid.n_depth();
-        let channels = self.aperture.channels();
-        let weights = self.aperture.weights();
-        let full = self.aperture.is_full();
-        for id in 0..n_depth {
-            engine.fill_nappe_streamed_for(tx, id, slab, &mut |slot, row| {
-                let active_delays = if full {
-                    row
-                } else {
-                    compact_row(row, channels, delays);
-                    &*delays
-                };
-                // One virtual call quantizes the whole row — the
-                // engine's own final rounding stage, so rounding
-                // telemetry (e.g. TABLESTEER's clamp counter) sees this
-                // path exactly as it sees per-element queries.
-                engine.quantize_row(active_delays, indices);
-                rf.gather_nearest_into_for(tx, channels, indices, samples);
-                out[slot * n_depth + id] = weighted_sum(weights, samples, self.reduction);
-            });
-        }
-    }
-
-    /// The factored compound nearest-index kernel: one receive-leg slab
-    /// fill per nappe ([`DelayEngine::fill_nappe_rx_streamed`]), then per
-    /// voxel an inner transmit loop that combines the cached row with
-    /// each transmit's per-voxel term ([`DelayEngine::combine_tx_row`])
-    /// and runs the usual compact → quantize → gather → MAC stages.
-    ///
-    /// Masked transmits are where the factored kernel earns its keep on
-    /// steered fans: a zero mask weight contributes nothing to the sum,
-    /// so when the engine's rounding stage is side-effect-free
-    /// ([`DelayEngine::rounding_telemetry`] is `false`) the whole
-    /// per-transmit body is skipped — bit-identical output, and no
-    /// telemetry exists to diverge. Engines **with** rounding telemetry
-    /// (TABLESTEER's clamp counter) still combine and quantize every
-    /// (voxel, transmit) pair, because the fused per-transmit kernel
-    /// quantizes masked pairs too and the counters must advance
-    /// identically on both paths; only the gather/MAC/accumulate is
-    /// skipped on a zero mask weight there (same non-finite-poisoning
-    /// guard as the fused accumulate).
-    #[allow(clippy::too_many_arguments)]
-    fn tile_compound_factored_nearest(
-        &self,
-        engine: &dyn DelayEngine,
-        rf: &RfFrame,
-        n_tx: usize,
-        slab: &mut NappeDelays,
-        values: &mut [f64],
-        tx_row: &mut [f64],
-        delays: &mut [f64],
-        indices: &mut [i32],
-        samples: &mut [f64],
-        tx_weights: &[f64],
-    ) {
+        let TileState {
+            slab,
+            values,
+            delays,
+            indices,
+            samples,
+            tx_row,
+            tx_weights,
+            ..
+        } = state;
         let tile = slab.tile();
         let n_depth = self.spec.volume_grid.n_depth();
+        let n_tx = self.spec.n_transmits();
         let n_values = values.len();
         let channels = self.aperture.channels();
         let weights = self.aperture.weights();
         let full = self.aperture.is_full();
-        let skip_masked = !engine.rounding_telemetry();
+        let skip_masked = !(NEAREST && engine.rounding_telemetry());
         let reduction = self.reduction;
+        values.fill(0.0);
         for id in 0..n_depth {
             engine.fill_nappe_rx_streamed(id, slab, &mut |slot, rx_row| {
                 let (it, ip) = tile.scanline_at(slot);
                 let vox = VoxelIndex::new(it, ip, id);
+                let v = slot * n_depth + id;
                 for tx in 0..n_tx {
-                    let m = tx_weights[tx * n_values + slot * n_depth + id];
+                    let m = tx_weights[tx * n_values + v];
                     if skip_masked && m == 0.0 {
                         continue;
                     }
@@ -794,95 +682,18 @@ impl Beamformer {
                         compact_row(tx_row, channels, delays);
                         &*delays
                     };
-                    engine.quantize_row(active_delays, indices);
+                    if NEAREST {
+                        engine.quantize_row(active_delays, indices);
+                    }
                     if m != 0.0 {
-                        rf.gather_nearest_into_for(tx, channels, indices, samples);
-                        values[slot * n_depth + id] +=
-                            m * weighted_sum(weights, samples, reduction);
+                        if NEAREST {
+                            rf.gather_nearest_into_for(tx, channels, indices, samples);
+                        } else {
+                            rf.gather_linear_into_for(tx, channels, active_delays, samples);
+                        }
+                        values[v] += m * weighted_sum(weights, samples, reduction);
                     }
                 }
-            });
-        }
-    }
-
-    /// The factored compound linear-interpolation kernel: one receive-leg
-    /// slab fill per nappe, per-voxel transmit combines feeding the
-    /// fractional-delay gather directly (no quantization stage, so — like
-    /// the fused linear kernel — no rounding telemetry advances and the
-    /// whole per-transmit body can be skipped on a zero mask weight).
-    #[allow(clippy::too_many_arguments)]
-    fn tile_compound_factored_linear(
-        &self,
-        engine: &dyn DelayEngine,
-        rf: &RfFrame,
-        n_tx: usize,
-        slab: &mut NappeDelays,
-        values: &mut [f64],
-        tx_row: &mut [f64],
-        delays: &mut [f64],
-        samples: &mut [f64],
-        tx_weights: &[f64],
-    ) {
-        let tile = slab.tile();
-        let n_depth = self.spec.volume_grid.n_depth();
-        let n_values = values.len();
-        let channels = self.aperture.channels();
-        let weights = self.aperture.weights();
-        let full = self.aperture.is_full();
-        let reduction = self.reduction;
-        for id in 0..n_depth {
-            engine.fill_nappe_rx_streamed(id, slab, &mut |slot, rx_row| {
-                let (it, ip) = tile.scanline_at(slot);
-                let vox = VoxelIndex::new(it, ip, id);
-                for tx in 0..n_tx {
-                    let m = tx_weights[tx * n_values + slot * n_depth + id];
-                    if m == 0.0 {
-                        continue;
-                    }
-                    engine.combine_tx_row(tx, vox, rx_row, tx_row);
-                    let active_delays = if full {
-                        &*tx_row
-                    } else {
-                        compact_row(tx_row, channels, delays);
-                        &*delays
-                    };
-                    rf.gather_linear_into_for(tx, channels, active_delays, samples);
-                    values[slot * n_depth + id] += m * weighted_sum(weights, samples, reduction);
-                }
-            });
-        }
-    }
-
-    /// The linear-interpolation kernel: slab row → (compact) → gathered
-    /// interpolated sample row → weighted accumulate. No quantization
-    /// stage — the fractional delays feed the gather directly. Rows are
-    /// consumed streamed, like
-    /// [`tile_kernel_nearest`](Self::tile_kernel_nearest).
-    #[allow(clippy::too_many_arguments)]
-    fn tile_kernel_linear(
-        &self,
-        engine: &dyn DelayEngine,
-        rf: &RfFrame,
-        tx: usize,
-        slab: &mut NappeDelays,
-        out: &mut [f64],
-        delays: &mut [f64],
-        samples: &mut [f64],
-    ) {
-        let n_depth = self.spec.volume_grid.n_depth();
-        let channels = self.aperture.channels();
-        let weights = self.aperture.weights();
-        let full = self.aperture.is_full();
-        for id in 0..n_depth {
-            engine.fill_nappe_streamed_for(tx, id, slab, &mut |slot, row| {
-                let active_delays = if full {
-                    row
-                } else {
-                    compact_row(row, channels, delays);
-                    &*delays
-                };
-                rf.gather_linear_into_for(tx, channels, active_delays, samples);
-                out[slot * n_depth + id] = weighted_sum(weights, samples, self.reduction);
             });
         }
     }
@@ -1132,52 +943,10 @@ mod tests {
     }
 
     #[test]
-    fn factored_compound_path_is_bit_identical_to_fused_path() {
-        // The tentpole invariant: routing the compound loop through
-        // fill_nappe_rx_streamed + combine_tx_row must reproduce the
-        // fused per-transmit kernel exactly. `FusedOnly` hides the
-        // factored family, forcing the fallback loop on the same engine.
-        let (spec, rf) = compound_setup();
-        let exact = ExactEngine::new(&spec);
-        let steer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
-        for interp in [Interpolation::Nearest, Interpolation::Linear] {
-            for reduction in [Reduction::Sequential, Reduction::Wide4] {
-                for engine in [&exact as &dyn usbf_core::DelayEngine, &steer] {
-                    assert!(engine.supports_factored_fill());
-                    let bf = Beamformer::new(&spec)
-                        .with_interpolation(interp)
-                        .with_reduction(reduction);
-                    let schedule = usbf_core::NappeSchedule::fitted(&spec, 4);
-                    let factored = bf.beamform_volume_tiled(engine, &rf, &schedule);
-                    let fused = match engine.name() {
-                        "EXACT" => bf.beamform_volume_tiled(
-                            &usbf_core::FusedOnly(exact.clone()),
-                            &rf,
-                            &schedule,
-                        ),
-                        _ => bf.beamform_volume_tiled(
-                            &usbf_core::FusedOnly(steer.clone()),
-                            &rf,
-                            &schedule,
-                        ),
-                    };
-                    assert_eq!(
-                        factored,
-                        fused,
-                        "{} {interp:?} {reduction:?}",
-                        engine.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn factored_compound_path_preserves_clamp_telemetry() {
-        // The factored nearest kernel must quantize every transmit's
-        // combined row — masked ones included — exactly like the fused
-        // kernel does, so TABLESTEER's clamp counter advances
-        // identically on both paths. A wide aperture on the tiny grid
+        // The nearest kernel must quantize every transmit's combined row
+        // — masked ones included — so TABLESTEER's clamp counter advances
+        // exactly as scalar queries over every pair would. A wide aperture on the tiny grid
         // (same trick as the single-source telemetry test) steers corner
         // fetches out of the echo window so clamps actually happen.
         let base = SystemSpec::tiny();
@@ -1206,39 +975,78 @@ mod tests {
             txs
         });
         let rf = RfFrame::zeros_multi(100, 100, spec.echo_buffer_len(), spec.n_transmits());
-        let factored_engine = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
-        let fused_engine = usbf_core::FusedOnly(factored_engine.clone()); // fresh zeroed counter
+        let kernel_engine = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
+        let scalar_engine = kernel_engine.clone(); // fresh zeroed counter
         let bf = Beamformer::new(&spec).with_apodization(crate::Apodization::Rect);
         let schedule = usbf_core::NappeSchedule::fitted(&spec, 2);
-        bf.beamform_volume_tiled(&factored_engine, &rf, &schedule);
-        bf.beamform_volume_tiled(&fused_engine, &rf, &schedule);
+        bf.beamform_volume_tiled(&kernel_engine, &rf, &schedule);
+        // Scalar queries over every (voxel, transmit, active channel) —
+        // masked pairs included, because the kernel quantizes them too.
+        let nx = spec.elements.nx();
+        for i in 0..spec.volume_grid.voxel_count() {
+            let vox = spec.volume_grid.voxel_at(i);
+            for tx in 0..spec.n_transmits() {
+                for &c in bf.aperture().channels() {
+                    let e = ElementIndex::new(c as usize % nx, c as usize / nx);
+                    scalar_engine.delay_index_for(tx, vox, e);
+                }
+            }
+        }
         assert!(
-            factored_engine.clamp_events() > 0,
+            kernel_engine.clamp_events() > 0,
             "setup must actually clamp"
         );
-        assert_eq!(
-            factored_engine.clamp_events(),
-            fused_engine.0.clamp_events()
-        );
+        assert_eq!(kernel_engine.clamp_events(), scalar_engine.clamp_events());
     }
 
     #[test]
     fn factored_compound_path_matches_scalar_reference() {
-        // End-to-end: the factored batched volume equals the per-voxel
+        // End-to-end: the batched compound volume equals the per-voxel
         // scalar compound walk (which reaches the same numbers through
-        // delay_index_for / delay_samples_for, never the row family).
+        // delay_index_for / delay_samples_for, never the row family), in
+        // both reduction modes.
         let (spec, rf) = compound_setup();
-        let engine = ExactEngine::new(&spec);
-        for interp in [Interpolation::Nearest, Interpolation::Linear] {
-            let bf = |order| {
-                Beamformer::new(&spec)
-                    .with_interpolation(interp)
-                    .with_order(order)
-            };
-            let batched = bf(ScanOrder::NappeByNappe).beamform_volume(&engine, &rf);
-            let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(&engine, &rf);
-            assert_eq!(batched, scalar, "{interp:?}");
+        let exact = ExactEngine::new(&spec);
+        let steer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
+        for engine in [&exact as &dyn usbf_core::DelayEngine, &steer] {
+            for interp in [Interpolation::Nearest, Interpolation::Linear] {
+                for reduction in [Reduction::Sequential, Reduction::Wide4] {
+                    let bf = |order| {
+                        Beamformer::new(&spec)
+                            .with_interpolation(interp)
+                            .with_reduction(reduction)
+                            .with_order(order)
+                    };
+                    let batched = bf(ScanOrder::NappeByNappe).beamform_volume(engine, &rf);
+                    let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(engine, &rf);
+                    assert_eq!(
+                        batched,
+                        scalar,
+                        "{} {interp:?} {reduction:?}",
+                        engine.name()
+                    );
+                }
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "mask weights must cover every transmit")]
+    fn tile_state_of_another_transmit_sequence_is_rejected() {
+        // Same grid and aperture, different sequence: a 4-angle state's
+        // value and index rows fit a 2-angle beamformer, so only the
+        // mask-weight length tells the two apart.
+        let fan = |n| {
+            SystemSpec::tiny().with_transmits(usbf_geometry::TransmitModel::plane_wave_fan(
+                n,
+                usbf_geometry::deg(10.0),
+            ))
+        };
+        let (four, two) = (fan(4), fan(2));
+        let tile = usbf_core::NappeSchedule::fitted(&four, 4).tiles()[0];
+        let mut state = TileState::new(&Beamformer::new(&four), tile);
+        let rf = RfFrame::zeros_multi(8, 8, two.echo_buffer_len(), 2);
+        Beamformer::new(&two).beamform_tile_into(&ExactEngine::new(&two), &rf, &mut state);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Property-based invariants of the beamforming pipeline.
 
 use proptest::prelude::*;
-use usbf_beamform::{Apodization, Beamformer, BmodeConfig, Interpolation, PostChain, Reduction};
+use usbf_beamform::{Apodization, Beamformer, BmodeConfig, Interpolation, PostChain};
 use usbf_core::{
     DelayEngine, ExactEngine, NaiveTableEngine, TableFreeConfig, TableFreeEngine, TableSteerConfig,
     TableSteerEngine,
 };
 use usbf_geometry::scan::ScanOrder;
 use usbf_geometry::{
-    SystemSpec, TransducerSpec, TransmitModel, Vec3, VolumeSpec, VoxelIndex, SPEED_OF_SOUND,
+    ElementIndex, SystemSpec, TransducerSpec, TransmitModel, Vec3, VolumeSpec, VoxelIndex,
+    SPEED_OF_SOUND,
 };
 use usbf_sim::{EchoSynthesizer, Phantom, Pulse};
 
@@ -91,56 +92,11 @@ fn random_transmits(n_tx: usize, kinds: usize, a: usize, b: usize) -> Vec<Transm
         .collect()
 }
 
-/// Asserts the factored compound path (rx slab filled once per nappe +
-/// per-transmit combines) reproduces the fused per-transmit loop bit for
-/// bit on one engine: `FusedOnly` hides the factored family, forcing the
-/// fallback loop on an otherwise-identical engine instance.
-fn prop_factored_matches_fused<E>(
-    spec: &SystemSpec,
-    rf: &usbf_sim::RfFrame,
-    make: impl Fn() -> E,
-) -> Result<(), TestCaseError>
-where
-    E: DelayEngine + Clone + std::fmt::Debug,
-{
-    let schedule = usbf_core::NappeSchedule::fitted(spec, 3);
-    for interp in [Interpolation::Nearest, Interpolation::Linear] {
-        for reduction in [Reduction::Sequential, Reduction::Wide4] {
-            let factored_engine = make();
-            prop_assert!(
-                factored_engine.supports_factored_fill(),
-                "{} must join the factored family",
-                factored_engine.name()
-            );
-            let fused_engine = usbf_core::FusedOnly(make());
-            let bf = Beamformer::new(spec)
-                .with_interpolation(interp)
-                .with_reduction(reduction);
-            let factored = bf.beamform_volume_tiled(&factored_engine, rf, &schedule);
-            let fused = bf.beamform_volume_tiled(&fused_engine, rf, &schedule);
-            for (i, (a, b)) in factored.as_slice().iter().zip(fused.as_slice()).enumerate() {
-                prop_assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{} {:?} {:?} voxel {}: {} vs {}",
-                    factored_engine.name(),
-                    interp,
-                    reduction,
-                    i,
-                    a,
-                    b
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn factored_compound_path_bit_identical_to_fused_on_random_transmits(
+    fn compound_kernel_clamp_telemetry_matches_scalar_queries_on_random_transmits(
         nx in 2usize..6,
         ny in 2usize..6,
         n_theta in 2usize..6,
@@ -152,39 +108,29 @@ proptest! {
         angle_a in 0usize..1000,
         angle_b in 0usize..1000,
     ) {
-        // The PR 10 tentpole invariant: factoring the transmit-invariant
-        // receive leg out of the compound loop (one fill_nappe_rx per
-        // (nappe, tile) + per-transmit combine_tx_row) changes the
-        // delay-generation cost, not a single output bit — for all four
-        // engines × both interpolations × both reductions, on random
-        // transmit sequences mixing steered plane waves with point
-        // emissions. TABLESTEER additionally proves the rounding
-        // telemetry matches: the factored nearest kernel quantizes every
-        // transmit's combined row, masked ones included, exactly like
-        // the fused kernel.
+        // The nearest tile kernel quantizes every transmit's combined
+        // row, masked ones included, for engines with rounding telemetry:
+        // TABLESTEER's clamp counter must advance exactly as scalar
+        // `delay_index_for` queries over every (voxel, transmit, active
+        // channel) advance a fresh engine's counter.
         let spec = random_compound_spec(nx, ny, n_theta, n_phi, n_depth)
             .with_transmits(random_transmits(n_tx, kinds, angle_a, angle_b));
         let vox = spec.volume_grid.voxel_at(target % spec.volume_grid.voxel_count());
         let rf = rf_for(&spec, vox);
-        prop_factored_matches_fused(&spec, &rf, || ExactEngine::new(&spec))?;
-        prop_factored_matches_fused(&spec, &rf, || {
-            NaiveTableEngine::build(&spec, u64::MAX).expect("tiny table fits")
-        })?;
-        prop_factored_matches_fused(&spec, &rf, || {
-            TableFreeEngine::new(&spec, TableFreeConfig::paper()).expect("builds")
-        })?;
-        prop_factored_matches_fused(&spec, &rf, || {
-            TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds")
-        })?;
-        // Rounding-telemetry leg: clamp counts advance identically on
-        // the factored and fused nearest kernels (clones start zeroed).
-        let factored_engine = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
-        let fused_engine = usbf_core::FusedOnly(factored_engine.clone());
-        let schedule = usbf_core::NappeSchedule::fitted(&spec, 3);
+        let kernel_engine = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
+        let scalar_engine = kernel_engine.clone(); // fresh zeroed counter
         let bf = Beamformer::new(&spec);
-        bf.beamform_volume_tiled(&factored_engine, &rf, &schedule);
-        bf.beamform_volume_tiled(&fused_engine, &rf, &schedule);
-        prop_assert_eq!(factored_engine.clamp_events(), fused_engine.0.clamp_events());
+        bf.beamform_volume_tiled(&kernel_engine, &rf, &usbf_core::NappeSchedule::fitted(&spec, 3));
+        for i in 0..spec.volume_grid.voxel_count() {
+            let vox = spec.volume_grid.voxel_at(i);
+            for tx in 0..n_tx {
+                for &c in bf.aperture().channels() {
+                    let e = ElementIndex::new(c as usize % nx, c as usize / nx);
+                    scalar_engine.delay_index_for(tx, vox, e);
+                }
+            }
+        }
+        prop_assert_eq!(kernel_engine.clamp_events(), scalar_engine.clamp_events());
     }
 
     #[test]

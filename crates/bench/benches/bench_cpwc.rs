@@ -5,29 +5,21 @@
 //! Two groups on the narrow-cone CPWC spec ([`usbf_bench::cpwc_spec`]),
 //! each swept over 1 / 4 / 16 angles:
 //!
-//! * `cpwc_fill` — per-engine `fill_nappe_for` throughput over the full
-//!   transmit sequence (every angle × every nappe of a full-fan slab).
-//!   EXACT recomputes the transmit leg per angle, NAIVE-TABLE strides
-//!   into its per-transmit table blocks, TABLESTEER folds Δtx into the
-//!   per-row correction constant (zero inner-loop cost) and TABLEFREE
-//!   pays no sqrt for the linear plane-wave leg — the sweep makes those
-//!   scaling laws measurable;
+//! * `cpwc_fill` — per-engine `fill_nappe_streamed_for` throughput over
+//!   the full transmit sequence (every angle × every nappe of a full-fan
+//!   slab: receive fill plus one combine per row). EXACT recomputes the
+//!   transmit leg per angle, NAIVE-TABLE strides into its per-transmit
+//!   table blocks, TABLESTEER adds Δtx as a per-row correction constant
+//!   and TABLEFREE pays no sqrt for the linear plane-wave leg — the sweep
+//!   makes those scaling laws measurable;
 //! * `cpwc_compound_frame` — warm `FramePipeline` frames/s with the
 //!   N-angle compound running as ONE frame on a pinned 4-worker pool.
-//!   The reported elements/s **is** compound frames/s;
-//! * `factored_vs_fused` — the PR 10 tentpole isolated on one
-//!   single-threaded tile: `Beamformer::beamform_tile_into` with the
-//!   engine's factored family (receive-leg slab filled once per nappe +
-//!   per-transmit combines) vs the same engine behind
-//!   [`usbf_core::FusedOnly`], which hides the family and forces the
-//!   pre-PR-10 per-transmit fused loop. The fused baseline is
-//!   bit-identity-tested against the factored path (bench lib +
-//!   beamform proptests), so the speedup it measures is honest.
+//!   The reported elements/s **is** compound frames/s.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
-use usbf_beamform::{Beamformer, FramePipeline, FrameRing, TileState};
+use usbf_beamform::{Beamformer, FramePipeline, FrameRing};
 use usbf_core::{
     DelayEngine, ExactEngine, NaiveTableEngine, NappeDelays, NappeSchedule, TableFreeConfig,
     TableFreeEngine, TableSteerConfig, TableSteerEngine,
@@ -85,7 +77,7 @@ fn bench_cpwc(c: &mut Criterion) {
                 b.iter(|| {
                     for tx in 0..n_angles {
                         for id in 0..spec.volume_grid.n_depth() {
-                            engine.fill_nappe_for(tx, id, &mut slab);
+                            engine.fill_nappe_streamed_for(tx, id, &mut slab, &mut |_, _| {});
                         }
                     }
                     black_box(slab.samples()[0])
@@ -125,40 +117,6 @@ fn bench_cpwc(c: &mut Criterion) {
                 b.iter(|| {
                     let vol = pipe.next_volume().expect("warm frame");
                     black_box(vol.max_abs())
-                })
-            });
-        }
-    }
-    g.finish();
-
-    // The factored compound loop vs the fused per-transmit baseline on
-    // one tile, single-threaded (the pure kernel-shape comparison, no
-    // pool scheduling in the measurement).
-    let mut g = c.benchmark_group("factored_vs_fused");
-    g.throughput(Throughput::Elements(1));
-    for n_angles in [4usize, 16] {
-        let spec = usbf_bench::cpwc_spec(n_angles);
-        let rf = compound_rf(&spec);
-        let bf = Beamformer::new(&spec);
-        let tile = NappeSchedule::fitted(&spec, 16).tiles()[5];
-        let exact = ExactEngine::new(&spec);
-        let exact_fused = usbf_core::FusedOnly(ExactEngine::new(&spec));
-        let tablefree = TableFreeEngine::new(&spec, TableFreeConfig::paper()).expect("builds");
-        let tablefree_fused = usbf_core::FusedOnly(
-            TableFreeEngine::new(&spec, TableFreeConfig::paper()).expect("builds"),
-        );
-        let cases: [(&str, &dyn DelayEngine); 4] = [
-            ("EXACT-factored", &exact),
-            ("EXACT-fused", &exact_fused),
-            ("TABLEFREE-factored", &tablefree),
-            ("TABLEFREE-fused", &tablefree_fused),
-        ];
-        for (name, engine) in cases {
-            let mut state = TileState::new(&bf, tile);
-            g.bench_function(format!("{name}/{n_angles}"), |b| {
-                b.iter(|| {
-                    bf.beamform_tile_into(engine, &rf, &mut state);
-                    black_box(state.values()[0])
                 })
             });
         }

@@ -4,17 +4,14 @@
 //! Eight sections:
 //!
 //! * `kernel` — single-thread `Beamformer::beamform_tile_into` ns/voxel
-//!   on one reduced-spec schedule tile, per engine, next to the PR 4
-//!   per-element kernel ([`usbf_bench::legacy_beamform_tile_into`]) and
-//!   the resulting speedup (the PR 5 acceptance gate is ≥2×);
+//!   on one reduced-spec schedule tile, per engine;
 //! * `fill` — per-engine `fill_nappe` throughput in delays/s over a
 //!   full-fan slab. NAIVE-TABLE is measured at both scales: its reduced
 //!   table (~hundreds of MB) is buildable on a CI runner, and the tiny
 //!   entry is kept so the cache-resident trajectory stays comparable
 //!   across snapshots — every entry records its `spec`;
-//! * `tablefree_fill` — the PR 5 per-element `eval_tracked` TABLEFREE
-//!   fill ([`usbf_bench::LegacyTableFreeFill`]) vs the segment-major
-//!   batched row evaluator (the PR 6 acceptance gate is ≥10×);
+//! * `tablefree_fill` — TABLEFREE's segment-major batched row evaluator
+//!   behind `fill_nappe`, in delays/s;
 //! * `pipeline` — warm `FramePipeline` frames/s on the tiny spec;
 //! * `shard_churn` — the PR 7 elastic runtime under session churn:
 //!   fleets of 3 and 16 shards on a 4-worker pool, one attach + detach
@@ -41,8 +38,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use usbf_beamform::{
-    Apodization, Beamformer, BmodeConfig, FramePipeline, FrameRing, Interpolation, PostChain,
-    ShardConfig, ShardedRuntime, TileState,
+    Apodization, Beamformer, BmodeConfig, FramePipeline, FrameRing, PostChain, ShardConfig,
+    ShardedRuntime, TileState,
 };
 use usbf_core::{
     DelayEngine, ExactEngine, NaiveTableEngine, NappeDelays, NappeSchedule, TableFreeConfig,
@@ -64,19 +61,13 @@ fn time_mean(budget_s: f64, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() / iters as f64
 }
 
-struct KernelRow {
-    name: &'static str,
-    legacy_ns_per_voxel: f64,
-    vectorized_ns_per_voxel: f64,
-}
-
 fn main() {
     let quick = std::env::var("USBF_SNAPSHOT_QUICK").is_ok_and(|v| v != "0");
     let budget = if quick { 0.05 } else { 0.5 };
     let red = SystemSpec::reduced();
     let tiny = SystemSpec::tiny();
 
-    // --- kernel: single-thread tile kernel, legacy vs vectorized ---
+    // --- kernel: single-thread tile kernel ---
     let bf = Beamformer::new(&red).with_apodization(Apodization::Hann);
     let tile = NappeSchedule::fitted(&red, 64).tiles()[27];
     let tile_voxels = (tile.scanlines() * red.volume_grid.n_depth()) as f64;
@@ -92,40 +83,16 @@ fn main() {
         ("TABLEFREE", &tablefree),
         ("TABLESTEER-18b", &tablesteer),
     ];
-    let weights = bf.element_weights();
-    let mut kernel_rows = Vec::new();
+    let mut kernel_rows: Vec<(&str, f64)> = Vec::new();
     for (name, eng) in engines {
         let mut state = TileState::new(&bf, tile);
         let vec_s = time_mean(budget, || {
             bf.beamform_tile_into(eng, &rf, &mut state);
             std::hint::black_box(state.values()[0]);
         });
-        let mut slab = NappeDelays::for_tile(&red, tile);
-        let mut values = vec![0.0; tile.scanlines() * red.volume_grid.n_depth()];
-        let legacy_s = time_mean(budget, || {
-            usbf_bench::legacy_beamform_tile_into(
-                &bf,
-                Interpolation::Nearest,
-                eng,
-                &rf,
-                &weights,
-                &mut slab,
-                &mut values,
-            );
-            std::hint::black_box(values[0]);
-        });
-        let row = KernelRow {
-            name,
-            legacy_ns_per_voxel: legacy_s * 1e9 / tile_voxels,
-            vectorized_ns_per_voxel: vec_s * 1e9 / tile_voxels,
-        };
-        println!(
-            "kernel {name:<15} legacy {:9.1} ns/voxel   vectorized {:9.1} ns/voxel   speedup {:.2}x",
-            row.legacy_ns_per_voxel,
-            row.vectorized_ns_per_voxel,
-            row.legacy_ns_per_voxel / row.vectorized_ns_per_voxel
-        );
-        kernel_rows.push(row);
+        let ns_per_voxel = vec_s * 1e9 / tile_voxels;
+        println!("kernel {name:<15} vectorized {ns_per_voxel:9.1} ns/voxel");
+        kernel_rows.push((name, ns_per_voxel));
     }
 
     // --- fill: per-engine slab fill throughput ---
@@ -180,33 +147,23 @@ fn main() {
         println!("fill   {name:<15} [{spec:<7}] {:.1} Mdelays/s", rate / 1e6);
     }
 
-    // --- tablefree_fill: legacy per-element eval_tracked vs the
-    // segment-major batched row evaluator (PR 6 acceptance: ≥10×) ---
-    let (tf_legacy_rate, tf_batched_rate) = {
-        let legacy = usbf_bench::LegacyTableFreeFill::new(&tablefree);
+    // --- tablefree_fill: the segment-major batched row evaluator ---
+    let tf_batched_rate = {
         let mut slab = NappeDelays::full(&red);
         let per_pass = red.volume_grid.n_depth() as f64
             * slab.scanline_count() as f64
             * slab.n_elements() as f64;
-        let legacy_s = time_mean(budget, || {
-            for id in 0..red.volume_grid.n_depth() {
-                legacy.fill(&tablefree, id, &mut slab);
-            }
-            std::hint::black_box(slab.samples()[0]);
-        });
         let batched_s = time_mean(budget, || {
             for id in 0..red.volume_grid.n_depth() {
                 tablefree.fill_nappe(id, &mut slab);
             }
             std::hint::black_box(slab.samples()[0]);
         });
-        (per_pass / legacy_s, per_pass / batched_s)
+        per_pass / batched_s
     };
     println!(
-        "tablefree-fill [reduced] legacy {:.1} Mdelays/s   batched {:.1} Mdelays/s   speedup {:.2}x",
-        tf_legacy_rate / 1e6,
-        tf_batched_rate / 1e6,
-        tf_batched_rate / tf_legacy_rate
+        "tablefree-fill [reduced] batched {:.1} Mdelays/s",
+        tf_batched_rate / 1e6
     );
 
     // --- pipeline: warm frames/s on the tiny spec ---
@@ -534,15 +491,11 @@ fn main() {
     );
     let _ = writeln!(j, "    \"active_elements\": {},", bf.aperture().len());
     let _ = writeln!(j, "    \"engines\": {{");
-    for (i, r) in kernel_rows.iter().enumerate() {
+    for (i, (name, ns)) in kernel_rows.iter().enumerate() {
         let comma = if i + 1 < kernel_rows.len() { "," } else { "" };
         let _ = writeln!(
             j,
-            "      \"{}\": {{\"legacy_ns_per_voxel\": {:.1}, \"vectorized_ns_per_voxel\": {:.1}, \"speedup\": {:.3}}}{comma}",
-            r.name,
-            r.legacy_ns_per_voxel,
-            r.vectorized_ns_per_voxel,
-            r.legacy_ns_per_voxel / r.vectorized_ns_per_voxel
+            "      \"{name}\": {{\"vectorized_ns_per_voxel\": {ns:.1}}}{comma}"
         );
     }
     let _ = writeln!(j, "    }}");
@@ -558,16 +511,7 @@ fn main() {
     let _ = writeln!(j, "  }},");
     let _ = writeln!(j, "  \"tablefree_fill\": {{");
     let _ = writeln!(j, "    \"spec\": \"reduced\",");
-    let _ = writeln!(j, "    \"legacy_delays_per_second\": {tf_legacy_rate:.0},");
-    let _ = writeln!(
-        j,
-        "    \"batched_delays_per_second\": {tf_batched_rate:.0},"
-    );
-    let _ = writeln!(
-        j,
-        "    \"speedup\": {:.3}",
-        tf_batched_rate / tf_legacy_rate
-    );
+    let _ = writeln!(j, "    \"batched_delays_per_second\": {tf_batched_rate:.0}");
     let _ = writeln!(j, "  }},");
     let _ = writeln!(j, "  \"pipeline\": {{");
     let _ = writeln!(j, "    \"spec\": \"tiny\",");

@@ -5,48 +5,53 @@ use std::error::Error;
 use std::fmt;
 use usbf_geometry::{ElementIndex, VoxelIndex};
 
-/// Panic message shared by the single-transmit defaults of the
-/// transmit-indexed trait methods.
-const SINGLE_TX_MSG: &str =
-    "engine reports multiple transmits but did not override the *_for methods";
-
-/// Panic message shared by the factored-fill defaults: callers must gate
-/// on [`DelayEngine::supports_factored_fill`] before using the family.
-const FACTORED_MSG: &str =
-    "engine does not implement the factored fill family (supports_factored_fill() is false)";
-
-/// A source of beamforming delays: given a focal point and a receive
-/// element, produce the two-way propagation delay.
+/// A source of beamforming delays: given a focal point, a receive
+/// element and a transmit of the frame's sequence, produce the two-way
+/// propagation delay.
 ///
-/// Engines expose two views:
+/// There is **one** delay path. Every engine splits Eq. 2 along its
+/// transmit-invariant seam:
 ///
-/// * [`DelayEngine::delay_samples`] — the delay in (possibly approximated)
-///   fractional samples, before final index rounding; this is what accuracy
-///   analyses compare;
-/// * [`DelayEngine::delay_index`] — the integer echo-buffer index the
-///   hardware would emit (final `floor(x + ½)` rounding stage);
+/// * [`DelayEngine::fill_nappe_rx_streamed`] — the receive leg `|S − D|`
+///   of one nappe (one depth step) over a fan tile, the per-element term
+///   that dominates fill cost, streamed row by row at the granularity the
+///   hardware produces it;
+/// * [`DelayEngine::combine_tx_row`] — one transmit's per-voxel term
+///   folded onto such a row, yielding that transmit's fractional delays.
 ///
-/// plus the batched streaming view of the paper's architecture:
+/// The tile kernel fills the receive slab once per (nappe, tile) and
+/// combines it once per transmit; the paper's single point-source
+/// emission is the one-transmit case of the same loop. Everything else
+/// is composed from the pair: [`DelayEngine::fill_nappe_streamed_for`]
+/// (receive fill plus a per-row combine) and [`DelayEngine::fill_nappe`]
+/// (that, for transmit 0, with no row consumer).
 ///
-/// * [`DelayEngine::fill_nappe`] — all delays for one nappe (one depth
-///   step) over a fan tile at once, the granularity the hardware streams
-///   at. Specialized implementations exploit nappe-to-nappe locality but
-///   must stay **bit-exact** with the scalar path.
+/// Scalar queries stand beside the batched path as its oracle:
+///
+/// * [`DelayEngine::delay_samples_for`] — the delay in (possibly
+///   approximated) fractional samples, before final index rounding; this
+///   is what accuracy analyses compare, and what
+///   [`NappeDelays::fill_scalar_for`] replays per slab entry;
+/// * [`DelayEngine::delay_index_for`] — the integer echo-buffer index the
+///   hardware would emit (final `floor(x + ½)` rounding stage).
+///
+/// Batched rows must stay **bit-exact** with the scalar queries.
 ///
 /// Engines are `Sync` so beamformers can fan one engine out across
 /// schedule tiles on multiple threads.
 ///
 /// Implementations must be deterministic: repeated queries for the same
-/// `(vox, e)` return identical values.
+/// `(tx, vox, e)` return identical values.
 pub trait DelayEngine: Sync {
     /// Short architecture name (e.g. `"TABLEFREE"`), used in reports.
     fn name(&self) -> &'static str;
 
     /// Two-way delay in fractional samples at the system's `fs`, for the
-    /// frame's first transmit. Multi-transmit engines answer for
-    /// transmit 0 here; [`DelayEngine::delay_samples_for`] is the general
-    /// entry point.
-    fn delay_samples(&self, vox: VoxelIndex, e: ElementIndex) -> f64;
+    /// frame's first transmit: [`DelayEngine::delay_samples_for`] with
+    /// `tx == 0`.
+    fn delay_samples(&self, vox: VoxelIndex, e: ElementIndex) -> f64 {
+        self.delay_samples_for(0, vox, e)
+    }
 
     /// Number of transmits this engine serves delays for — the length of
     /// the spec's transmit sequence it was built against. Engines without
@@ -55,16 +60,10 @@ pub trait DelayEngine: Sync {
         1
     }
 
-    /// Two-way delay of transmit `tx` in fractional samples: the
-    /// transmit-indexed generalization of [`DelayEngine::delay_samples`].
-    ///
-    /// The default serves single-transmit engines (`tx` must be 0);
-    /// engines reporting a larger [`DelayEngine::transmit_count`] must
-    /// override it.
-    fn delay_samples_for(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> f64 {
-        assert_eq!(tx, 0, "{SINGLE_TX_MSG}");
-        self.delay_samples(vox, e)
-    }
+    /// Two-way delay of transmit `tx` in fractional samples — the scalar
+    /// oracle every batched row of this engine must reproduce bit for
+    /// bit.
+    fn delay_samples_for(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> f64;
 
     /// Integer echo-buffer index: the rounded delay, clamped to
     /// `[0, echo_buffer_len)`.
@@ -91,13 +90,10 @@ pub trait DelayEngine: Sync {
     /// Length of the echo buffer this engine indexes into.
     fn echo_buffer_len(&self) -> usize;
 
-    /// Fills `out` with every delay of nappe `nappe_idx` over the slab's
-    /// fan tile.
-    ///
-    /// The default falls back to one [`DelayEngine::delay_samples`] query
-    /// per entry. Specialized implementations (TABLEFREE's tracked PWL
-    /// walk, TABLESTEER's per-scanline correction reuse) must produce
-    /// bit-identical slabs — `tests/engine_consistency.rs` enforces this.
+    /// Fills `out` with every transmit-0 delay of nappe `nappe_idx` over
+    /// the slab's fan tile: [`DelayEngine::fill_nappe_streamed_for`] for
+    /// transmit 0 with no row consumer. The slab ends up holding exactly
+    /// what [`NappeDelays::fill_scalar_for`] would write.
     ///
     /// # Panics
     ///
@@ -118,59 +114,21 @@ pub trait DelayEngine: Sync {
     /// assert_eq!(slab.at(4, 4, e), engine.delay_samples(vox, e));
     /// ```
     fn fill_nappe(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        out.fill_scalar(self, nappe_idx);
+        self.fill_nappe_streamed_for(0, nappe_idx, out, &mut |_, _| {});
     }
 
-    /// Transmit-indexed slab fill: like [`DelayEngine::fill_nappe`] but
-    /// for transmit `tx` of a multi-transmit frame. Specialized overrides
-    /// must stay bit-exact with the scalar
-    /// [`NappeDelays::fill_scalar_for`] reference per transmit.
-    ///
-    /// The default serves single-transmit engines by delegating `tx == 0`
-    /// to [`DelayEngine::fill_nappe`] (so engines that only override the
-    /// unindexed method keep their batched path).
-    fn fill_nappe_for(&self, tx: usize, nappe_idx: usize, out: &mut NappeDelays) {
-        assert_eq!(tx, 0, "{SINGLE_TX_MSG}");
-        self.fill_nappe(nappe_idx, out);
-    }
-
-    /// Streamed slab fill: like [`DelayEngine::fill_nappe`], but hands
-    /// every completed row to `consume(slot, row)` as soon as it is
-    /// produced, while the row is still cache-hot.
-    ///
-    /// This is the software-pipelining hook of the tile kernel: for
-    /// fill-bound engines (TABLEFREE's PWL datapath) the beamformer's
-    /// gather/MAC for row *s* runs interleaved with the generation of row
-    /// *s + 1*, instead of only after the whole slab is done. Rows are
-    /// delivered exactly once each, in slab slot order, and the slab is
-    /// completely filled when this returns — callers that ignore
-    /// `consume` get plain `fill_nappe` behaviour.
-    ///
-    /// The default fills the slab and then replays the rows; engines with
-    /// a batched fill override this to interleave for real.
+    /// Fills `out` with transmit `tx`'s delays of nappe `nappe_idx`,
+    /// handing every completed row to `consume(slot, row)`: the receive
+    /// leg is filled through [`DelayEngine::fill_nappe_rx_streamed`],
+    /// then each row is combined in place with
+    /// [`DelayEngine::combine_tx_row`]. Rows are delivered exactly once
+    /// each, in slab slot order, and the slab is completely filled when
+    /// this returns. Warm refills allocate nothing (the combine stages
+    /// each receive row through the slab's own scratch).
     ///
     /// # Panics
     ///
     /// Same contract as [`DelayEngine::fill_nappe`].
-    fn fill_nappe_streamed(
-        &self,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        self.fill_nappe(nappe_idx, out);
-        for slot in 0..out.scanline_count() {
-            consume(slot, out.row(slot));
-        }
-    }
-
-    /// Transmit-indexed streamed fill: [`DelayEngine::fill_nappe_streamed`]
-    /// for transmit `tx`. Same row-delivery contract. The default delegates
-    /// `tx == 0` to the unindexed streamed fill (preserving whatever
-    /// interleaving the engine implements there) and serves `tx > 0` by
-    /// filling through [`DelayEngine::fill_nappe_for`] and replaying the
-    /// rows — so an engine only needs a dedicated override when it can
-    /// interleave the multi-transmit fill for real.
     fn fill_nappe_streamed_for(
         &self,
         tx: usize,
@@ -178,102 +136,74 @@ pub trait DelayEngine: Sync {
         out: &mut NappeDelays,
         consume: &mut dyn FnMut(usize, &[f64]),
     ) {
-        if tx == 0 {
-            self.fill_nappe_streamed(nappe_idx, out, consume);
-        } else {
-            self.fill_nappe_for(tx, nappe_idx, out);
-            for slot in 0..out.scanline_count() {
-                consume(slot, out.row(slot));
-            }
-        }
+        self.fill_nappe_rx_streamed(nappe_idx, out, &mut |_, _| {});
+        out.rewrite_rows(|slot, vox, rx_row, row| {
+            self.combine_tx_row(tx, vox, rx_row, row);
+            consume(slot, row);
+        });
     }
 
-    /// Whether this engine implements the factored compound-fill family
-    /// ([`DelayEngine::fill_nappe_rx`] / [`DelayEngine::combine_tx_row`]).
-    ///
-    /// The receive leg of Eq. 2 — `|S − D|`, the per-element term that
-    /// dominates fill cost — is transmit-invariant: only a per-voxel
-    /// transmit scalar differs between the N angles of a compound frame.
-    /// Engines that can split their fill along that seam report `true`
-    /// here, and compound consumers fill the receive slab **once** per
-    /// (nappe, tile) and run one cheap combine per transmit, turning the
-    /// per-voxel fill cost from `O(N · elements)` into `O(elements + N)`.
-    /// Engines answering `false` (and the defaults, which panic) are
-    /// served by the fused per-transmit
-    /// [`DelayEngine::fill_nappe_streamed_for`] path instead.
+    /// Always `true`: every engine implements the receive-fill/combine
+    /// pair, which is the only delay path. Kept so callers written
+    /// against the earlier opt-in family keep compiling.
     fn supports_factored_fill(&self) -> bool {
-        false
+        true
     }
 
     /// Fills `out` with the transmit-invariant **receive leg** of nappe
     /// `nappe_idx`, streaming each completed row to `consume(slot, row)`
-    /// cache-hot — the factored counterpart of
-    /// [`DelayEngine::fill_nappe_streamed`], with the same row-delivery
-    /// contract (every row exactly once, in slab slot order).
+    /// cache-hot: every row exactly once, in slab slot order.
+    ///
+    /// The receive leg of Eq. 2 — `|S − D|`, the per-element term that
+    /// dominates fill cost — does not depend on the transmit: only a
+    /// per-voxel transmit scalar differs between the N transmits of a
+    /// frame. Filling it once per (nappe, tile) and running one cheap
+    /// [`DelayEngine::combine_tx_row`] per transmit turns the per-voxel
+    /// fill cost from `O(N · elements)` into `O(elements + N)`.
     ///
     /// The slab's contents after this call are **engine-defined
     /// intermediates** (EXACT stores receive distances in metres,
     /// TABLESTEER pre-scale raw fixed-point sums, …): only the output of
-    /// [`DelayEngine::combine_tx_row`] on a delivered row is specified —
-    /// it must be bit-identical to the corresponding row of
-    /// [`DelayEngine::fill_nappe_for`]. The slab's nappe marker is set,
-    /// so warm slabs are reused exactly like fused fills reuse them.
+    /// [`DelayEngine::combine_tx_row`] on a delivered row is specified.
+    /// The slab's nappe marker is set, so warm slabs are reused across
+    /// refills.
     ///
     /// # Panics
     ///
-    /// The default panics: callers must gate on
-    /// [`DelayEngine::supports_factored_fill`]. Implementations panic if
-    /// `nappe_idx` is out of range, as [`DelayEngine::fill_nappe`] does.
+    /// Implementations panic if `nappe_idx` is out of range, as
+    /// [`NappeDelays::begin_fill`] does.
     fn fill_nappe_rx_streamed(
         &self,
         nappe_idx: usize,
         out: &mut NappeDelays,
         consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        let _ = (nappe_idx, out, consume);
-        panic!("{FACTORED_MSG}");
-    }
-
-    /// Non-streamed receive-leg fill:
-    /// [`DelayEngine::fill_nappe_rx_streamed`] with no row consumer.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`DelayEngine::fill_nappe_rx_streamed`].
-    fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_nappe_rx_streamed(nappe_idx, out, &mut |_, _| {});
-    }
+    );
 
     /// Combines one receive-leg row (as delivered by
     /// [`DelayEngine::fill_nappe_rx_streamed`] for the scanline of `vox`)
     /// with transmit `tx`'s per-voxel term, writing into `out` the exact
-    /// fractional-delay row the fused [`DelayEngine::fill_nappe_for`]
-    /// would produce — **bit-identical**, before the engine's own
-    /// quantization stage. For EXACT / NAIVE / TABLEFREE the combine is an
-    /// f64 add (or a table widen); for TABLESTEER it is the already-folded
+    /// fractional-delay row [`NappeDelays::fill_scalar_for`] would
+    /// produce — **bit-identical**, before the engine's own quantization
+    /// stage. For EXACT / NAIVE / TABLEFREE the combine is an f64 add (or
+    /// a table widen); for TABLESTEER it is the already-folded
     /// fixed-point transmit-correction constant.
     ///
     /// # Panics
     ///
-    /// The default panics: callers must gate on
-    /// [`DelayEngine::supports_factored_fill`]. Implementations panic if
-    /// `rx_row` and `out` differ in length.
-    fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
-        let _ = (tx, vox, rx_row, out);
-        panic!("{FACTORED_MSG}");
-    }
+    /// Implementations panic if `rx_row` and `out` differ in length.
+    fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]);
 
     /// Whether this engine's final rounding stage carries **observable
     /// telemetry** — counters a caller could read that advance once per
     /// quantized value (TABLESTEER's clamp counter is the one live
-    /// example). Compound kernels use this to decide whether a fully
+    /// example). The tile kernel uses this to decide whether a fully
     /// masked (zero-weight) transmit must still run
     /// [`DelayEngine::quantize_row`]: when rounding is side-effect-free
-    /// the whole per-transmit body can be skipped with bit-identical
-    /// output *and* telemetry, which is where most of the factored
-    /// kernel's win comes from on steered fans whose footprints cover a
-    /// voxel only partially. Engines that add rounding telemetry MUST
-    /// override this to `true`, or masked voxels stop being counted.
+    /// the whole per-transmit body is skipped with bit-identical output
+    /// *and* telemetry, which is most of the compound kernel's win on
+    /// steered fans whose footprints cover a voxel only partially.
+    /// Engines that add rounding telemetry MUST override this to `true`,
+    /// or masked voxels stop being counted.
     fn rounding_telemetry(&self) -> bool {
         false
     }
@@ -339,84 +269,6 @@ pub(crate) fn quantize_row_clamped(echo_len: usize, row: &[f64], out: &mut [i32]
     clamps
 }
 
-/// Opts an engine out of the factored compound-fill family: forwards
-/// every [`DelayEngine`] method to the wrapped engine **except** the
-/// factored family, reporting
-/// [`supports_factored_fill`](DelayEngine::supports_factored_fill) as
-/// `false` so compound consumers take their fused per-transmit path.
-///
-/// This is how the fused fill stays a live, bit-identity-tested baseline
-/// for the factored restructuring (benches compare the two; tests assert
-/// they agree bit for bit), and an escape hatch should a caller ever want
-/// the historical schedule back.
-///
-/// ```
-/// use usbf_core::{DelayEngine, ExactEngine, FusedOnly};
-/// use usbf_geometry::SystemSpec;
-/// let spec = SystemSpec::tiny();
-/// let fused = FusedOnly(ExactEngine::new(&spec));
-/// assert!(fused.0.supports_factored_fill());
-/// assert!(!fused.supports_factored_fill());
-/// ```
-#[derive(Debug, Clone)]
-pub struct FusedOnly<E>(pub E);
-
-impl<E: DelayEngine> DelayEngine for FusedOnly<E> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn delay_samples(&self, vox: VoxelIndex, e: ElementIndex) -> f64 {
-        self.0.delay_samples(vox, e)
-    }
-    fn transmit_count(&self) -> usize {
-        self.0.transmit_count()
-    }
-    fn delay_samples_for(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> f64 {
-        self.0.delay_samples_for(tx, vox, e)
-    }
-    fn delay_index(&self, vox: VoxelIndex, e: ElementIndex) -> i64 {
-        self.0.delay_index(vox, e)
-    }
-    fn delay_index_for(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> i64 {
-        self.0.delay_index_for(tx, vox, e)
-    }
-    fn delay_index_from(&self, samples: f64) -> i64 {
-        self.0.delay_index_from(samples)
-    }
-    fn echo_buffer_len(&self) -> usize {
-        self.0.echo_buffer_len()
-    }
-    fn fill_nappe(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        self.0.fill_nappe(nappe_idx, out);
-    }
-    fn fill_nappe_for(&self, tx: usize, nappe_idx: usize, out: &mut NappeDelays) {
-        self.0.fill_nappe_for(tx, nappe_idx, out);
-    }
-    fn fill_nappe_streamed(
-        &self,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        self.0.fill_nappe_streamed(nappe_idx, out, consume);
-    }
-    fn fill_nappe_streamed_for(
-        &self,
-        tx: usize,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        self.0.fill_nappe_streamed_for(tx, nappe_idx, out, consume);
-    }
-    fn quantize_row(&self, row: &[f64], out: &mut [i32]) {
-        self.0.quantize_row(row, out);
-    }
-    fn rounding_telemetry(&self) -> bool {
-        self.0.rounding_telemetry()
-    }
-}
-
 /// Errors from engine construction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
@@ -476,16 +328,35 @@ impl From<usbf_pwl::PwlError> for EngineError {
 mod tests {
     use super::*;
 
+    /// A constant-delay engine: its receive rows carry nothing (the rx
+    /// fill only stamps the slab and streams the rows), and its combine
+    /// writes the constant.
     struct ConstEngine(f64);
     impl DelayEngine for ConstEngine {
         fn name(&self) -> &'static str {
             "CONST"
         }
-        fn delay_samples(&self, _: VoxelIndex, _: ElementIndex) -> f64 {
+        fn delay_samples_for(&self, _: usize, _: VoxelIndex, _: ElementIndex) -> f64 {
             self.0
         }
         fn echo_buffer_len(&self) -> usize {
             100
+        }
+        fn fill_nappe_rx_streamed(
+            &self,
+            nappe_idx: usize,
+            out: &mut NappeDelays,
+            consume: &mut dyn FnMut(usize, &[f64]),
+        ) {
+            let n = out.n_elements();
+            let buf = out.begin_fill(nappe_idx);
+            for (slot, row) in buf.chunks_exact(n).enumerate() {
+                consume(slot, row);
+            }
+        }
+        fn combine_tx_row(&self, _: usize, _: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
+            assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
+            out.fill(self.0);
         }
     }
 
@@ -533,12 +404,12 @@ mod tests {
     }
 
     #[test]
-    fn default_streamed_fill_delivers_every_row_once_in_order() {
+    fn streamed_fill_delivers_every_row_once_in_order() {
         let spec = usbf_geometry::SystemSpec::tiny();
         let eng = ConstEngine(7.25);
         let mut slab = NappeDelays::full(&spec);
         let mut seen = Vec::new();
-        eng.fill_nappe_streamed(3, &mut slab, &mut |slot, row| {
+        eng.fill_nappe_streamed_for(0, 3, &mut slab, &mut |slot, row| {
             assert!(row.iter().all(|&d| d == 7.25));
             seen.push((slot, row.len()));
         });
@@ -550,44 +421,21 @@ mod tests {
     }
 
     #[test]
-    fn factored_fill_defaults_to_unsupported() {
-        assert!(!ConstEngine(1.0).supports_factored_fill());
-    }
-
-    #[test]
-    #[should_panic(expected = "factored fill")]
-    fn factored_fill_default_panics() {
+    fn fill_nappe_is_the_composed_transmit_zero_fill() {
+        // `fill_nappe` = rx fill + combine, landing on the scalar oracle.
         let spec = usbf_geometry::SystemSpec::tiny();
-        let mut slab = NappeDelays::full(&spec);
-        ConstEngine(1.0).fill_nappe_rx(0, &mut slab);
-    }
-
-    #[test]
-    #[should_panic(expected = "factored fill")]
-    fn combine_default_panics() {
-        let rx = [0.0; 4];
-        let mut out = [0.0; 4];
-        ConstEngine(1.0).combine_tx_row(0, VoxelIndex::new(0, 0, 0), &rx, &mut out);
-    }
-
-    #[test]
-    fn fused_only_forwards_everything_but_the_factored_family() {
-        let eng = FusedOnly(ConstEngine(10.5));
-        let v = VoxelIndex::new(0, 0, 0);
-        let e = ElementIndex::new(0, 0);
-        assert_eq!(eng.name(), "CONST");
-        assert_eq!(eng.delay_samples(v, e), 10.5);
-        assert_eq!(eng.delay_index(v, e), 11);
-        assert_eq!(eng.transmit_count(), 1);
-        assert_eq!(eng.echo_buffer_len(), 100);
-        assert!(!eng.supports_factored_fill());
+        let eng = ConstEngine(10.5);
+        let mut composed = NappeDelays::full(&spec);
+        let mut scalar = NappeDelays::full(&spec);
+        eng.fill_nappe(2, &mut composed);
+        scalar.fill_scalar_for(&eng, 0, 2);
+        assert_eq!(composed, scalar);
+        assert!(eng.supports_factored_fill());
         assert!(!eng.rounding_telemetry());
-        let spec = usbf_geometry::SystemSpec::tiny();
-        let mut a = NappeDelays::full(&spec);
-        let mut b = NappeDelays::full(&spec);
-        eng.fill_nappe(2, &mut a);
-        eng.0.fill_nappe(2, &mut b);
-        assert_eq!(a, b);
+        assert_eq!(eng.transmit_count(), 1);
+        let (v, e) = (VoxelIndex::new(0, 0, 0), ElementIndex::new(0, 0));
+        assert_eq!(eng.delay_samples(v, e), 10.5);
+        assert_eq!(eng.delay_index_for(0, v, e), 11);
     }
 
     #[test]

@@ -49,10 +49,6 @@ impl DelayEngine for ExactEngine {
         "EXACT"
     }
 
-    fn delay_samples(&self, vox: VoxelIndex, e: ElementIndex) -> f64 {
-        self.delay_samples_for(0, vox, e)
-    }
-
     fn transmit_count(&self) -> usize {
         self.spec.n_transmits()
     }
@@ -67,50 +63,17 @@ impl DelayEngine for ExactEngine {
         self.echo_len
     }
 
-    /// Batched nappe fill for transmit 0: see
-    /// [`ExactEngine::fill_nappe_for`].
-    fn fill_nappe(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_nappe_for(0, nappe_idx, out);
-    }
-
-    /// Batched nappe fill: the focal-point position and the transmit leg
-    /// (point source `|S − O|`, plane wave `n̂ · S`) are computed once per
-    /// focal point and shared across all elements (the scalar path
-    /// re-derives both per query). Bit-exact: the per-element expression
-    /// `((tx + |S − D|) / c) · fs` is unchanged.
-    fn fill_nappe_for(&self, tx: usize, nappe_idx: usize, out: &mut NappeDelays) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
-        let spec = &self.spec;
-        let fs = spec.sampling_frequency;
-        let c = spec.speed_of_sound;
-        let buf = out.begin_fill(nappe_idx);
-        for (slot, it, ip) in tile.iter_scanlines() {
-            let s = spec
-                .volume_grid
-                .position(VoxelIndex::new(it, ip, nappe_idx));
-            let t = spec.transmit_distance(tx, s);
-            let row = &mut buf[slot * n_elements..(slot + 1) * n_elements];
-            for (j, value) in row.iter_mut().enumerate() {
-                *value = (t + s.distance(self.elem_pos[j])) / c * fs;
-            }
-        }
-    }
-
     /// Batched rounding: one monomorphic clamp loop per row instead of a
     /// virtual `delay_index_from` call per element.
     fn quantize_row(&self, row: &[f64], out: &mut [i32]) {
         crate::engine::quantize_row_clamped(self.echo_len, row, out);
     }
 
-    fn supports_factored_fill(&self) -> bool {
-        true
-    }
-
     /// Receive-leg fill: the slab rows hold `|S − D|` in **metres** — the
     /// per-element Euclidean distances, which are the expensive,
-    /// transmit-invariant part of the fused fill's
-    /// `((tx + |S − D|) / c) · fs` expression.
+    /// transmit-invariant part of Eq. 2's `((tx + |S − D|) / c) · fs`.
+    /// Element positions are cached at construction, so the focal point
+    /// is the only geometry derived per row.
     fn fill_nappe_rx_streamed(
         &self,
         nappe_idx: usize,
@@ -135,9 +98,10 @@ impl DelayEngine for ExactEngine {
     }
 
     /// Transmit combine: `((t + rx) / c) · fs` with the transmit distance
-    /// `t` computed once per row — literally the fused fill's per-element
-    /// expression with the receive distance read from the rx slab, so the
-    /// output is bit-identical to [`ExactEngine::fill_nappe_for`].
+    /// `t` (point source `|S − O|`, plane wave `n̂ · S`) computed once per
+    /// row — literally the scalar per-element expression with the receive
+    /// distance read from the rx slab, so the output is bit-identical to
+    /// [`ExactEngine::delay_samples_for`].
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
         let spec = &self.spec;
@@ -237,7 +201,7 @@ mod tests {
         for tx in 0..3 {
             let mut batched = crate::NappeDelays::full(&spec);
             let mut scalar = crate::NappeDelays::full(&spec);
-            eng.fill_nappe_for(tx, 9, &mut batched);
+            eng.fill_nappe_streamed_for(tx, 9, &mut batched, &mut |_, _| {});
             scalar.fill_scalar_for(&eng, tx, 9);
             for (a, b) in batched.samples().iter().zip(scalar.samples()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "tx {tx}");
@@ -246,29 +210,28 @@ mod tests {
     }
 
     #[test]
-    fn factored_fill_bit_identical_to_fused_fill() {
+    fn factored_fill_bit_identical_to_scalar_fill() {
         let spec = SystemSpec::tiny().with_transmits(usbf_geometry::TransmitModel::plane_wave_fan(
             4,
             usbf_geometry::deg(10.0),
         ));
         let eng = ExactEngine::new(&spec);
-        assert!(eng.supports_factored_fill());
         let mut rx = crate::NappeDelays::full(&spec);
-        let mut fused = crate::NappeDelays::full(&spec);
+        let mut scalar = crate::NappeDelays::full(&spec);
         let mut combined = vec![0.0; rx.n_elements()];
         for id in [0, 7, 15] {
-            eng.fill_nappe_rx(id, &mut rx);
+            eng.fill_nappe_rx_streamed(id, &mut rx, &mut |_, _| {});
             assert_eq!(rx.nappe(), Some(id));
             for tx in 0..4 {
-                eng.fill_nappe_for(tx, id, &mut fused);
-                for (slot, it, ip) in fused.scanlines() {
+                scalar.fill_scalar_for(&eng, tx, id);
+                for (slot, it, ip) in scalar.scanlines() {
                     eng.combine_tx_row(
                         tx,
                         VoxelIndex::new(it, ip, id),
                         rx.row(slot),
                         &mut combined,
                     );
-                    for (a, b) in combined.iter().zip(fused.row(slot)) {
+                    for (a, b) in combined.iter().zip(scalar.row(slot)) {
                         assert_eq!(a.to_bits(), b.to_bits(), "tx {tx} nappe {id} slot {slot}");
                     }
                 }

@@ -49,7 +49,7 @@ pub mod stats;
 mod tablefree;
 mod tablesteer;
 
-pub use engine::{DelayEngine, EngineError, FusedOnly};
+pub use engine::{DelayEngine, EngineError};
 pub use exact::ExactEngine;
 pub use naive::NaiveTableEngine;
 pub use nappe::{FillBuffers, NappeDelays};

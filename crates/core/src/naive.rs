@@ -92,10 +92,6 @@ impl DelayEngine for NaiveTableEngine {
         "NAIVE-TABLE"
     }
 
-    fn delay_samples(&self, vox: VoxelIndex, e: ElementIndex) -> f64 {
-        self.delay_index(vox, e) as f64
-    }
-
     fn transmit_count(&self) -> usize {
         self.n_transmits
     }
@@ -118,32 +114,6 @@ impl DelayEngine for NaiveTableEngine {
         self.echo_len
     }
 
-    /// Batched nappe fill for transmit 0: see
-    /// [`NaiveTableEngine::fill_nappe_for`].
-    fn fill_nappe(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_nappe_for(0, nappe_idx, out);
-    }
-
-    /// Batched nappe fill: each scanline's element block is one contiguous
-    /// run of the precomputed table (offset into transmit `tx`'s stride),
-    /// widened `u16 → f64` in place of per-query indexed lookups.
-    fn fill_nappe_for(&self, tx: usize, nappe_idx: usize, out: &mut NappeDelays) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
-        let (n_phi, n_depth) = (self.n_phi, self.n_depth);
-        let base = tx * self.transmit_stride;
-        let buf = out.begin_fill(nappe_idx);
-        for (slot, it, ip) in tile.iter_scanlines() {
-            let vi = (it * n_phi + ip) * n_depth + nappe_idx;
-            let src = &self.table
-                [base + vi * self.elements_per_voxel..base + (vi + 1) * self.elements_per_voxel];
-            let row = &mut buf[slot * n_elements..(slot + 1) * n_elements];
-            for (value, &raw) in row.iter_mut().zip(src) {
-                *value = raw as i64 as f64;
-            }
-        }
-    }
-
     /// Batched rounding. The stored indices are already integral and
     /// in-window, but the arithmetic must stay the shared rounding stage
     /// so the table path cannot drift from `delay_index_from`.
@@ -151,18 +121,13 @@ impl DelayEngine for NaiveTableEngine {
         crate::engine::quantize_row_clamped(self.echo_len, row, out);
     }
 
-    fn supports_factored_fill(&self) -> bool {
-        true
-    }
-
     /// The naive table has **no separable receive leg** — it stores the
     /// final rounded index per `(transmit, voxel, element)`, with the two
     /// legs fused at precompute time. The rx pass therefore only stamps
     /// the slab's nappe marker and streams the (unspecified) rows;
     /// [`NaiveTableEngine::combine_tx_row`] produces each transmit's row
-    /// entirely from the table. Supporting the family anyway keeps the
-    /// compound kernel on one code path for all engines, at identical
-    /// work to the fused fill.
+    /// entirely from the table, so the one tile kernel serves this engine
+    /// too at the cost of one table-row widen per (voxel, transmit).
     fn fill_nappe_rx_streamed(
         &self,
         nappe_idx: usize,
@@ -177,8 +142,10 @@ impl DelayEngine for NaiveTableEngine {
         }
     }
 
-    /// Transmit combine: the fused fill's contiguous `u16 → f64` table-row
-    /// widen for `(tx, vox)`, ignoring the rx row.
+    /// Transmit combine: each scanline's element block is one contiguous
+    /// run of the precomputed table (offset into transmit `tx`'s stride),
+    /// widened `u16 → f64` in place of per-query indexed lookups. The rx
+    /// row is ignored.
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
         let vi = (vox.it * self.n_phi + vox.ip) * self.n_depth + vox.id;
@@ -268,7 +235,7 @@ mod tests {
             }
             let mut batched = NappeDelays::full(&spec);
             let mut scalar = NappeDelays::full(&spec);
-            naive.fill_nappe_for(tx, 7, &mut batched);
+            naive.fill_nappe_streamed_for(tx, 7, &mut batched, &mut |_, _| {});
             scalar.fill_scalar_for(&naive, tx, 7);
             assert_eq!(batched, scalar);
         }
@@ -289,30 +256,29 @@ mod tests {
     }
 
     #[test]
-    fn factored_fill_bit_identical_to_fused_fill() {
+    fn factored_fill_bit_identical_to_scalar_fill() {
         let spec = SystemSpec::tiny().with_transmits(usbf_geometry::TransmitModel::plane_wave_fan(
             3,
             usbf_geometry::deg(9.0),
         ));
         let naive = NaiveTableEngine::build(&spec, u64::MAX).unwrap();
-        assert!(naive.supports_factored_fill());
         let mut rx = NappeDelays::full(&spec);
-        let mut fused = NappeDelays::full(&spec);
+        let mut scalar = NappeDelays::full(&spec);
         let mut combined = vec![0.0; rx.n_elements()];
         for id in [0, 8, 15] {
             let mut delivered = 0;
             naive.fill_nappe_rx_streamed(id, &mut rx, &mut |_, _| delivered += 1);
             assert_eq!(delivered, rx.scanline_count());
             for tx in 0..3 {
-                naive.fill_nappe_for(tx, id, &mut fused);
-                for (slot, it, ip) in fused.scanlines() {
+                scalar.fill_scalar_for(&naive, tx, id);
+                for (slot, it, ip) in scalar.scanlines() {
                     naive.combine_tx_row(
                         tx,
                         VoxelIndex::new(it, ip, id),
                         rx.row(slot),
                         &mut combined,
                     );
-                    for (a, b) in combined.iter().zip(fused.row(slot)) {
+                    for (a, b) in combined.iter().zip(scalar.row(slot)) {
                         assert_eq!(a.to_bits(), b.to_bits(), "tx {tx} nappe {id} slot {slot}");
                     }
                 }

@@ -9,10 +9,13 @@
 //! fan (a [`NappeSchedule`](crate::NappeSchedule) block's ownership), for
 //! every element.
 //!
-//! Engines fill slabs through [`DelayEngine::fill_nappe`]
-//! (crate::DelayEngine::fill_nappe); the default implementation falls back
-//! to scalar [`delay_samples`](crate::DelayEngine::delay_samples) queries,
-//! and is the bit-exactness reference for the specialized batched paths.
+//! Engines fill slabs through
+//! [`DelayEngine::fill_nappe_rx_streamed`](crate::DelayEngine::fill_nappe_rx_streamed)
+//! (the transmit-invariant receive leg) and turn rows into delays with
+//! [`DelayEngine::combine_tx_row`](crate::DelayEngine::combine_tx_row);
+//! [`NappeDelays::fill_scalar_for`] replays scalar
+//! [`delay_samples_for`](crate::DelayEngine::delay_samples_for) queries
+//! and is the bit-exactness reference for both.
 
 use crate::schedule::Tile;
 use usbf_geometry::{ElementIndex, SystemSpec, VoxelIndex};
@@ -33,8 +36,6 @@ pub struct NappeDelays {
     // stay allocation-free (excluded from equality — scratch contents
     // are not part of the slab's value).
     row_args: Vec<f64>,
-    line_args: Vec<f64>,
-    line_vals: Vec<f64>,
     row_regs: Vec<i64>,
 }
 
@@ -58,10 +59,6 @@ pub struct FillBuffers<'a> {
     pub samples: &'a mut [f64],
     /// One element-row of argument scratch (`n_elements` slots).
     pub row_args: &'a mut [f64],
-    /// Per-scanline argument scratch (`scanlines` slots).
-    pub line_args: &'a mut [f64],
-    /// Per-scanline value scratch (`scanlines` slots).
-    pub line_vals: &'a mut [f64],
     /// One element-row of integer register scratch (`elements_nx`
     /// slots).
     pub row_regs: &'a mut [i64],
@@ -93,8 +90,6 @@ impl NappeDelays {
             n_depth: v.n_depth(),
             nappe: None,
             row_args: vec![0.0; n_elements],
-            line_args: vec![0.0; tile.scanlines()],
-            line_vals: vec![0.0; tile.scanlines()],
             row_regs: vec![0; spec.elements.nx()],
         }
     }
@@ -198,7 +193,8 @@ impl NappeDelays {
     /// Marks the slab as holding `nappe_idx` and hands out the raw buffer
     /// for an engine's batched fill.
     ///
-    /// Every engine's [`fill_nappe`](crate::DelayEngine::fill_nappe)
+    /// Every engine's
+    /// [`fill_nappe_rx_streamed`](crate::DelayEngine::fill_nappe_rx_streamed)
     /// routes through here, so this is the single validation point for
     /// the slab API.
     ///
@@ -230,37 +226,46 @@ impl NappeDelays {
         FillBuffers {
             samples: &mut self.samples,
             row_args: &mut self.row_args,
-            line_args: &mut self.line_args,
-            line_vals: &mut self.line_vals,
             row_regs: &mut self.row_regs,
+        }
+    }
+
+    /// Rewrites every row of the held nappe in slot order through
+    /// `f(slot, vox, row_in, row_out)`: each row is first copied into the
+    /// slab's argument scratch, so `f` reads the old row while it writes
+    /// the new one in place, without allocating. This is how the
+    /// provided [`fill_nappe_streamed_for`](crate::DelayEngine::fill_nappe_streamed_for)
+    /// turns a receive slab into a delay slab.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slab holds no nappe yet.
+    pub(crate) fn rewrite_rows(
+        &mut self,
+        mut f: impl FnMut(usize, VoxelIndex, &[f64], &mut [f64]),
+    ) {
+        let id = self.nappe.expect("rewrite_rows needs a filled slab");
+        let n = self.n_elements;
+        for (slot, it, ip) in self.tile.iter_scanlines() {
+            let row = &mut self.samples[slot * n..(slot + 1) * n];
+            self.row_args.copy_from_slice(row);
+            f(slot, VoxelIndex::new(it, ip, id), &self.row_args, row);
         }
     }
 
     /// Scalar reference fill: one
     /// [`delay_samples`](crate::DelayEngine::delay_samples) query per slab
-    /// entry. This is the
-    /// [`fill_nappe`](crate::DelayEngine::fill_nappe) default, and the
-    /// bit-exactness oracle for every specialized batched path.
+    /// entry — [`fill_scalar_for`](Self::fill_scalar_for) for transmit 0.
     pub fn fill_scalar<E: crate::DelayEngine + ?Sized>(&mut self, engine: &E, nappe_idx: usize) {
-        let tile = self.tile;
-        let n_elements = self.n_elements;
-        let nx = self.elements_nx;
-        let buf = self.begin_fill(nappe_idx);
-        for (s, it, ip) in tile.iter_scanlines() {
-            let vox = VoxelIndex::new(it, ip, nappe_idx);
-            let row = &mut buf[s * n_elements..(s + 1) * n_elements];
-            for (j, out) in row.iter_mut().enumerate() {
-                *out = engine.delay_samples(vox, ElementIndex::new(j % nx, j / nx));
-            }
-        }
+        self.fill_scalar_for(engine, 0, nappe_idx);
     }
 
     /// Transmit-indexed scalar reference fill: one
     /// [`delay_samples_for`](crate::DelayEngine::delay_samples_for) query
-    /// per slab entry. This is the
-    /// [`fill_nappe_for`](crate::DelayEngine::fill_nappe_for) bit-exactness
-    /// oracle, exactly as [`fill_scalar`](Self::fill_scalar) is for the
-    /// unindexed path.
+    /// per slab entry. This is the bit-exactness oracle of every batched
+    /// row: an engine's receive fill plus
+    /// [`combine_tx_row`](crate::DelayEngine::combine_tx_row) must
+    /// reproduce it exactly, per transmit.
     pub fn fill_scalar_for<E: crate::DelayEngine + ?Sized>(
         &mut self,
         engine: &E,
@@ -349,8 +354,6 @@ mod tests {
         let bufs = slab.begin_fill_scratch(7);
         assert_eq!(bufs.samples.len(), 6 * 64);
         assert_eq!(bufs.row_args.len(), 64);
-        assert_eq!(bufs.line_args.len(), 6);
-        assert_eq!(bufs.line_vals.len(), 6);
         assert_eq!(bufs.row_regs.len(), 8);
         bufs.row_args[0] = 42.0; // scratch contents are not slab value…
         assert_eq!(slab.nappe(), Some(7));

@@ -212,16 +212,6 @@ impl TableFreeEngine {
         }
     }
 
-    /// Square-root evaluations the transmit term of transmit `tx` costs
-    /// per focal point (0 for plane waves and exact transmit).
-    #[inline]
-    fn tx_sqrt_cost(&self, tx: usize) -> u64 {
-        match &self.spec.transmits[tx] {
-            TransmitModel::PointSource => u64::from(!self.config.exact_transmit),
-            TransmitModel::PlaneWave(_) => 0,
-        }
-    }
-
     /// Receive squared distance in samples² — the PWL argument stream a
     /// per-element hardware unit sees.
     #[inline]
@@ -258,10 +248,6 @@ impl DelayEngine for TableFreeEngine {
         "TABLEFREE"
     }
 
-    fn delay_samples(&self, vox: VoxelIndex, e: ElementIndex) -> f64 {
-        self.delay_samples_for(0, vox, e)
-    }
-
     fn transmit_count(&self) -> usize {
         self.spec.n_transmits()
     }
@@ -276,146 +262,28 @@ impl DelayEngine for TableFreeEngine {
         self.echo_len
     }
 
-    /// Batched nappe fill: [`fill_nappe_streamed`](DelayEngine::fill_nappe_streamed)
-    /// with no row consumer.
-    fn fill_nappe(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_nappe_streamed(nappe_idx, out, &mut |_, _| {});
-    }
-
-    /// Transmit-indexed batched fill: streamed fill with no row consumer.
-    fn fill_nappe_for(&self, tx: usize, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_nappe_streamed_for(tx, nappe_idx, out, &mut |_, _| {});
-    }
-
-    /// Segment-major batched nappe fill (§IV-B's streaming view): the
-    /// transmit square roots are evaluated once per focal point in one
-    /// batched pass over the nappe's scanlines, then each scanline's
-    /// receive arguments are assembled into a row and pushed through
-    /// [`QuantizedPwl::eval_row_tracked`], which fetches each PWL
-    /// segment's `(c1, c0)` once per contiguous element span instead of
-    /// once per element. The arguments a nappe-major sweep produces drift
-    /// slowly — exactly the paper's "no segment search needed" operating
-    /// regime, which is also what makes the spans long and the batched
-    /// walk O(segments) per row. Bit-exact with the scalar path because
-    /// the row evaluator replicates the `Fixed` datapath stage for stage
-    /// and the transmit term is added to each receive value in the same
-    /// `tx + rx` order the scalar path uses.
-    ///
-    /// Each completed row is handed to `consume` while still cache-hot,
-    /// letting the tile kernel overlap gather/MAC with the next row's
-    /// generation.
-    fn fill_nappe_streamed(
-        &self,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        self.fill_nappe_streamed_for(0, nappe_idx, out, consume);
-    }
-
-    /// Transmit-indexed streamed fill. Point-source transmits batch their
-    /// square roots exactly as the historical path did; plane-wave
-    /// transmits replace pass 1 with the exact linear projection `n̂ · S`
-    /// per focal point (no square root, no PWL — CPWC makes TABLEFREE's
-    /// transmit leg free). Pass 2 (the per-element receive datapath) is
-    /// identical for every transmit model.
-    fn fill_nappe_streamed_for(
-        &self,
-        tx: usize,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
-        let spm = self.samples_per_metre;
-        let bufs = out.begin_fill_scratch(nappe_idx);
-        let buf = bufs.samples;
-        let line_args = bufs.line_args;
-        let line_vals = bufs.line_vals;
-        let row_args = bufs.row_args;
-        // Pass 1: all transmit terms of the nappe, batched. One tracked
-        // row evaluation (or one projection per scanline) replaces
-        // `scanlines` pointer walks.
-        match &self.spec.transmits[tx] {
-            TransmitModel::PointSource => {
-                for (slot, it, ip) in tile.iter_scanlines() {
-                    line_args[slot] = self.tx_alpha(VoxelIndex::new(it, ip, nappe_idx));
-                }
-                if self.config.exact_transmit {
-                    for (v, &a) in line_vals.iter_mut().zip(line_args.iter()) {
-                        *v = a.sqrt();
-                    }
-                } else {
-                    let mut tx_hint = 0usize;
-                    self.quant
-                        .eval_row_tracked(&mut tx_hint, line_args, line_vals);
-                }
-            }
-            TransmitModel::PlaneWave(pw) => {
-                // The same `unit().dot(s) * spm` expression as the scalar
-                // `tx_term`, so the batched path stays bit-exact.
-                let n = pw.steering.unit();
-                for (slot, it, ip) in tile.iter_scanlines() {
-                    let s = self
-                        .spec
-                        .volume_grid
-                        .position(VoxelIndex::new(it, ip, nappe_idx));
-                    line_vals[slot] = n.dot(s) * spm;
-                }
-            }
-        }
-        // Pass 2: one receive row per scanline, segment-major.
-        let mut rx_hint = 0usize;
-        for (slot, it, ip) in tile.iter_scanlines() {
-            let s = self
-                .spec
-                .volume_grid
-                .position(VoxelIndex::new(it, ip, nappe_idx));
-            let dz = s.z * spm;
-            let dz2 = dz * dz;
-            for (a, d) in row_args.iter_mut().zip(&self.elem_pos) {
-                let dx = (s.x - d.x) * spm;
-                let dy = (s.y - d.y) * spm;
-                *a = dx * dx + dy * dy + dz2;
-            }
-            let range = slot * n_elements..(slot + 1) * n_elements;
-            let row = &mut buf[range.clone()];
-            self.quant.eval_row_tracked(&mut rx_hint, row_args, row);
-            let t = line_vals[slot];
-            // IEEE addition commutes bit-for-bit, so += matches the
-            // scalar path's `tx + rx` exactly.
-            for value in row.iter_mut() {
-                *value += t;
-            }
-            consume(slot, &buf[range]);
-        }
-        // One bulk update keeps the op counter consistent with the scalar
-        // path's per-evaluation increments.
-        let per_voxel = n_elements as u64 + self.tx_sqrt_cost(tx);
-        self.sqrt_evals
-            .fetch_add(tile.scanlines() as u64 * per_voxel, Ordering::Relaxed);
-    }
-
     /// Batched rounding: one monomorphic clamp loop per row instead of a
     /// virtual `delay_index_from` call per element.
     fn quantize_row(&self, row: &[f64], out: &mut [i32]) {
         crate::engine::quantize_row_clamped(self.echo_len, row, out);
     }
 
-    fn supports_factored_fill(&self) -> bool {
-        true
-    }
-
-    /// Receive-leg fill: pass 2 of the fused fill **without** the
-    /// transmit add — each scanline's receive arguments are assembled and
-    /// pushed through the tracked PWL row evaluation once, and the slab
-    /// rows hold the receive square roots in samples. This is where the
-    /// factorization pays: the per-element PWL evaluations (the §IV
-    /// datapath cost) run once per compound frame instead of once per
-    /// angle, so `sqrt_evals` grows by `scanlines · elements` here and
-    /// only by the per-row transmit cost in each combine —
-    /// `O(elements + N)` per voxel instead of `O(N · elements)`.
+    /// Receive-leg fill, segment-major (§IV-B's streaming view): each
+    /// scanline's receive arguments are assembled into a row and pushed
+    /// through [`QuantizedPwl::eval_row_tracked`], which fetches each PWL
+    /// segment's `(c1, c0)` once per contiguous element span instead of
+    /// once per element. The arguments a nappe-major sweep produces drift
+    /// slowly — exactly the paper's "no segment search needed" operating
+    /// regime, which is also what makes the spans long and the batched
+    /// walk O(segments) per row. The slab rows hold the receive square
+    /// roots in samples, bit-exact with the scalar path because the row
+    /// evaluator replicates the `Fixed` datapath stage for stage.
+    ///
+    /// The per-element PWL evaluations (the §IV datapath cost) run once
+    /// per frame instead of once per transmit, so `sqrt_evals` grows by
+    /// `scanlines · elements` here and only by the per-row transmit cost
+    /// in each combine — `O(elements + N)` per voxel instead of
+    /// `O(N · elements)`.
     fn fill_nappe_rx_streamed(
         &self,
         nappe_idx: usize,
@@ -456,9 +324,9 @@ impl DelayEngine for TableFreeEngine {
     /// per row (point sources one PWL/exact square root, plane waves the
     /// free projection `n̂ · S`). IEEE addition commutes bit-for-bit and
     /// the tracked row evaluation is bit-exact with the scalar
-    /// [`QuantizedPwl::eval`], so the combined row matches the fused
-    /// [`fill_nappe_for`](DelayEngine::fill_nappe_for) row exactly. The
-    /// square-root counter advances by the transmit cost only — the
+    /// [`QuantizedPwl::eval`], so the combined row matches
+    /// [`TableFreeEngine::delay_samples_for`] exactly. The square-root
+    /// counter advances by the transmit cost only — the
     /// receive roots were already counted by the rx fill.
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
@@ -669,7 +537,7 @@ mod tests {
         tf.fill_nappe(5, &mut reference);
         let mut seen = Vec::new();
         let mut captured = Vec::new();
-        tf.fill_nappe_streamed(5, &mut slab, &mut |slot, row| {
+        tf.fill_nappe_streamed_for(0, 5, &mut slab, &mut |slot, row| {
             seen.push(slot);
             captured.extend_from_slice(row);
         });
@@ -724,7 +592,7 @@ mod tests {
             let mut batched = NappeDelays::full(&spec);
             let mut scalar = NappeDelays::full(&spec);
             for id in [0, 8, 15] {
-                tf.fill_nappe_for(tx, id, &mut batched);
+                tf.fill_nappe_streamed_for(tx, id, &mut batched, &mut |_, _| {});
                 scalar.fill_scalar_for(&tf, tx, id);
                 for (a, b) in batched.samples().iter().zip(scalar.samples()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "tx {tx} nappe {id}");
@@ -742,13 +610,13 @@ mod tests {
         tf.delay_samples_for(0, VoxelIndex::new(0, 0, 0), ElementIndex::new(0, 0));
         assert_eq!(tf.sqrt_evals(), 1); // receive root only
         let mut slab = NappeDelays::full(&spec);
-        tf.fill_nappe_for(0, 0, &mut slab);
+        tf.fill_nappe(0, &mut slab);
         // 64 scanlines × 64 rx evaluations, no tx term.
         assert_eq!(tf.sqrt_evals(), 1 + 64 * 64);
     }
 
     #[test]
-    fn factored_fill_bit_identical_to_fused_fill() {
+    fn factored_fill_bit_identical_to_scalar_fill() {
         // Mixed sequence: a point source and plane waves, so the combine
         // exercises both transmit models.
         let spec = SystemSpec::tiny().with_transmits(vec![
@@ -757,17 +625,16 @@ mod tests {
             TransmitModel::plane_wave(usbf_geometry::deg(-6.0), 0.0),
         ]);
         let tf = TableFreeEngine::new(&spec, TableFreeConfig::paper()).unwrap();
-        assert!(tf.supports_factored_fill());
         let mut rx = NappeDelays::full(&spec);
-        let mut fused = NappeDelays::full(&spec);
+        let mut scalar = NappeDelays::full(&spec);
         let mut combined = vec![0.0; rx.n_elements()];
         for id in [0, 7, 15] {
-            tf.fill_nappe_rx(id, &mut rx);
+            tf.fill_nappe_rx_streamed(id, &mut rx, &mut |_, _| {});
             for tx in 0..3 {
-                tf.fill_nappe_for(tx, id, &mut fused);
-                for (slot, it, ip) in fused.scanlines() {
+                scalar.fill_scalar_for(&tf, tx, id);
+                for (slot, it, ip) in scalar.scanlines() {
                     tf.combine_tx_row(tx, VoxelIndex::new(it, ip, id), rx.row(slot), &mut combined);
-                    for (a, b) in combined.iter().zip(fused.row(slot)) {
+                    for (a, b) in combined.iter().zip(scalar.row(slot)) {
                         assert_eq!(a.to_bits(), b.to_bits(), "tx {tx} nappe {id} slot {slot}");
                     }
                 }
@@ -787,7 +654,7 @@ mod tests {
         let tf = TableFreeEngine::new(&spec, TableFreeConfig::paper()).unwrap();
         let mut rx = NappeDelays::full(&spec);
         let mut combined = vec![0.0; rx.n_elements()];
-        tf.fill_nappe_rx(0, &mut rx);
+        tf.fill_nappe_rx_streamed(0, &mut rx, &mut |_, _| {});
         assert_eq!(tf.sqrt_evals(), 64 * 64); // 64 scanlines × 64 elements
         for (slot, it, ip) in rx.scanlines().collect::<Vec<_>>() {
             for tx in 0..2 {

@@ -312,10 +312,6 @@ impl DelayEngine for TableSteerEngine {
         "TABLESTEER"
     }
 
-    fn delay_samples(&self, vox: VoxelIndex, e: ElementIndex) -> f64 {
-        self.delay_samples_for(0, vox, e)
-    }
-
     fn transmit_count(&self) -> usize {
         self.spec.n_transmits()
     }
@@ -350,111 +346,6 @@ impl DelayEngine for TableSteerEngine {
         self.echo_len
     }
 
-    /// Batched nappe fill — the Fig. 4 schedule in software. Within one
-    /// insonification the correction registers of a block never change:
-    /// the quadrant fold maps and the quantized y-corrections are
-    /// depth-independent and cached at construction, and the quantized
-    /// x-corrections are built once per scanline **row** (`nx`
-    /// conversions) instead of `2·nx·ny` float→fixed conversions per
-    /// scanline; the reference BRAM is read as one contiguous nappe
-    /// slice, exactly what the §V-B circular buffer streams.
-    ///
-    /// The `r + cx + cy` wide-add chain runs on **hoisted** raw
-    /// arithmetic: every operand of a fill shares the same three
-    /// formats, so the alignment shifts and the output scale of
-    /// [`Fixed::wide_add`]/[`Fixed::to_f64`] are computed once per fill
-    /// (and the x-corrections pre-shifted once per row) instead of per
-    /// element, leaving shift–add–shift–add–convert–multiply in the
-    /// inner loop. Bit-exact with the scalar path by construction: the
-    /// identical raw integers flow through the identical shifts, so the
-    /// final `f64`s match bit for bit (`fill_nappe_bit_exact_*` tests).
-    fn fill_nappe(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_nappe_streamed(nappe_idx, out, &mut |_, _| {});
-    }
-
-    /// Transmit-indexed batched fill: streamed fill with no row consumer.
-    fn fill_nappe_for(&self, tx: usize, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_nappe_streamed_for(tx, nappe_idx, out, &mut |_, _| {});
-    }
-
-    fn fill_nappe_streamed(
-        &self,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        self.fill_nappe_streamed_for(0, nappe_idx, out, consume);
-    }
-
-    /// The fill loop proper, streaming each completed row to `consume`.
-    /// The pre-shifted raw x-corrections live in the slab's preallocated
-    /// `row_regs` scratch (rebuilt once per scanline row), so a warm
-    /// refill performs no heap allocation.
-    ///
-    /// The transmit-model correction Δtx is a per-scanline constant at a
-    /// fixed nappe depth, quantized in the correction format; since that
-    /// format's fraction bits match the chain's final format, it folds
-    /// into the per-row constant alongside the y-correction — the fourth
-    /// add of the scalar chain costs **nothing** in the inner loop.
-    fn fill_nappe_streamed_for(
-        &self,
-        tx: usize,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
-        let (qx, qy) = self.reference.quadrant_dims();
-        let nx = self.spec.elements.nx();
-        let ny = self.spec.elements.ny();
-        let fmt = self.config.correction_format;
-        // The wide-add chain's formats, fixed for the whole fill:
-        // f1 = ref + cx, f2 = f1 + cy, f3 = f2 + Δtx.
-        let f1 = QFormat::sum_format(self.config.reference_format, fmt);
-        let f2 = QFormat::sum_format(f1, fmt);
-        let f3 = QFormat::sum_format(f2, fmt);
-        let sh_r = f1.frac_bits() - self.config.reference_format.frac_bits();
-        let sh_c1 = f1.frac_bits() - fmt.frac_bits();
-        let sh_12 = f2.frac_bits() - f1.frac_bits();
-        let sh_c2 = f2.frac_bits() - fmt.frac_bits();
-        // f2 and f3 share fraction bits (both cy and Δtx carry the
-        // correction format), so the last add needs no alignment shift
-        // and Δtx merges into the row constant below.
-        debug_assert_eq!(f3.frac_bits(), f2.frac_bits());
-        let res = f3.resolution();
-        let ref_slice = &self.ref_fixed[nappe_idx * qy * qx..(nappe_idx + 1) * qy * qx];
-        let bufs = out.begin_fill_scratch(nappe_idx);
-        let buf = bufs.samples;
-        // Pre-shifted raw x-corrections, rebuilt once per scanline row.
-        let cx = &mut bufs.row_regs[..nx];
-        for (slot, it, ip) in tile.iter_scanlines() {
-            for (ix, c) in cx.iter_mut().enumerate() {
-                *c = Fixed::saturating_from_f64(
-                    -self.steering.x_term_samples(ix, it, ip),
-                    fmt,
-                    RoundingMode::Nearest,
-                )
-                .raw()
-                    << sh_c1;
-            }
-            let dtx_shifted = self.dtx_fixed(tx, VoxelIndex::new(it, ip, nappe_idx)).raw() << sh_c2;
-            let cy_col = &self.cy_fixed[ip * ny..(ip + 1) * ny];
-            let range = slot * n_elements..(slot + 1) * n_elements;
-            let row = &mut buf[range.clone()];
-            for (iy, chunk) in row.chunks_mut(nx).enumerate() {
-                let ref_row = &ref_slice[self.fold_y[iy] * qx..];
-                let row_const = (cy_col[iy].raw() << sh_c2) + dtx_shifted;
-                for (ix, value) in chunk.iter_mut().enumerate() {
-                    let r = ref_row[self.fold_x[ix]].raw();
-                    let raw = (((r << sh_r) + cx[ix]) << sh_12) + row_const;
-                    *value = raw as f64 * res;
-                }
-            }
-            consume(slot, &buf[range]);
-        }
-    }
-
     /// Batched rounding with batched clamp telemetry: the row's clamp
     /// count is accumulated locally and published with **one** atomic
     /// add, so a row of N elements costs one `fetch_add` instead of up
@@ -467,17 +358,27 @@ impl DelayEngine for TableSteerEngine {
         }
     }
 
-    fn supports_factored_fill(&self) -> bool {
-        true
-    }
-
-    /// Receive-leg fill: TABLESTEER's datapath **already factors** the
-    /// transmit term — the fused fill folds Δtx into a per-row constant,
-    /// so the rx pass is the same `r + cx + cy` raw chain with that
-    /// constant left out. The slab rows hold the **pre-scale raw**
-    /// fixed-point sums as `f64` (engine-defined intermediates, not
-    /// delays): the final `· res` scaling moves into the combine, after
-    /// the transmit correction is added.
+    /// Receive-leg fill — the Fig. 4 schedule in software. Within one
+    /// insonification the correction registers of a block never change:
+    /// the quadrant fold maps and the quantized y-corrections are
+    /// depth-independent and cached at construction, and the quantized
+    /// x-corrections are built once per scanline **row** (`nx`
+    /// conversions, pre-shifted into the slab's `row_regs` scratch so a
+    /// warm refill allocates nothing) instead of `2·nx·ny` float→fixed
+    /// conversions per scanline; the reference BRAM is read as one
+    /// contiguous nappe slice, exactly what the §V-B circular buffer
+    /// streams.
+    ///
+    /// The `r + cx + cy` wide-add chain runs on **hoisted** raw
+    /// arithmetic: every operand shares the same formats, so the
+    /// alignment shifts of [`Fixed::wide_add`] are computed once per fill,
+    /// leaving shift–add–shift–add–convert in the inner loop. The
+    /// transmit correction Δtx is left out: it is a per-scanline constant
+    /// in the correction format, added by
+    /// [`TableSteerEngine::combine_tx_row`]. The slab rows therefore hold
+    /// the **pre-scale raw** fixed-point sums as `f64` (engine-defined
+    /// intermediates, not delays): the final `· res` scaling also moves
+    /// into the combine.
     fn fill_nappe_rx_streamed(
         &self,
         nappe_idx: usize,
@@ -529,10 +430,11 @@ impl DelayEngine for TableSteerEngine {
 
     /// Transmit combine: adds the pre-shifted raw transmit correction and
     /// applies the final scale — `(rx_raw + Δtx_raw) · res`. Bit-identical
-    /// to the fused fill because both addends are integer-valued `f64`s
-    /// far below 2⁵³, so the float add reproduces the fused path's i64
-    /// add exactly, and the closing multiply is the identical operation
-    /// on the identical value.
+    /// to the scalar [`Fixed::wide_add`] chain of
+    /// [`TableSteerEngine::delay_samples_for`] because both addends are
+    /// integer-valued `f64`s far below 2⁵³, so the float add reproduces
+    /// the raw integer add exactly, and the closing multiply is
+    /// [`Fixed::to_f64`]'s scaling of the identical value.
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
         let fmt = self.config.correction_format;
@@ -577,7 +479,6 @@ mod tests {
         let (_, ts, ex) = engines();
         assert!(ts.rounding_telemetry());
         assert!(!ex.rounding_telemetry());
-        assert!(crate::FusedOnly(ts).rounding_telemetry());
     }
 
     #[test]
@@ -787,7 +688,7 @@ mod tests {
             let mut batched = NappeDelays::full(&spec);
             let mut scalar = NappeDelays::full(&spec);
             for id in [0, 7, 15] {
-                ts.fill_nappe_for(tx, id, &mut batched);
+                ts.fill_nappe_streamed_for(tx, id, &mut batched, &mut |_, _| {});
                 scalar.fill_scalar_for(&ts, tx, id);
                 for (a, b) in batched.samples().iter().zip(scalar.samples()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "tx {tx} nappe {id}");
@@ -837,7 +738,7 @@ mod tests {
     }
 
     #[test]
-    fn factored_fill_bit_identical_to_fused_fill() {
+    fn factored_fill_bit_identical_to_scalar_fill() {
         // All three fixed-point configurations, mixed transmit models —
         // the raw-integer argument behind the combine must hold for every
         // format pair.
@@ -852,22 +753,21 @@ mod tests {
             TableSteerConfig::int13(),
         ] {
             let ts = TableSteerEngine::new(&spec, config).unwrap();
-            assert!(ts.supports_factored_fill());
             let mut rx = NappeDelays::full(&spec);
-            let mut fused = NappeDelays::full(&spec);
+            let mut scalar = NappeDelays::full(&spec);
             let mut combined = vec![0.0; rx.n_elements()];
             for id in [0, 9, 15] {
-                ts.fill_nappe_rx(id, &mut rx);
+                ts.fill_nappe_rx_streamed(id, &mut rx, &mut |_, _| {});
                 for tx in 0..3 {
-                    ts.fill_nappe_for(tx, id, &mut fused);
-                    for (slot, it, ip) in fused.scanlines() {
+                    scalar.fill_scalar_for(&ts, tx, id);
+                    for (slot, it, ip) in scalar.scanlines() {
                         ts.combine_tx_row(
                             tx,
                             VoxelIndex::new(it, ip, id),
                             rx.row(slot),
                             &mut combined,
                         );
-                        for (a, b) in combined.iter().zip(fused.row(slot)) {
+                        for (a, b) in combined.iter().zip(scalar.row(slot)) {
                             assert_eq!(
                                 a.to_bits(),
                                 b.to_bits(),

@@ -194,8 +194,8 @@ proptest! {
         angle_a in 0usize..1000,
         angle_b in 0usize..1000,
     ) {
-        // Every engine's transmit-indexed batched fill — plain and
-        // streamed — must reproduce the scalar per-voxel reference bit
+        // Every engine's receive fill + per-row combine, and the composed
+        // streamed fill, must reproduce the scalar per-voxel reference bit
         // for bit on every transmit of a random compound sequence, and
         // the streamed path must deliver each row exactly once in slot
         // order.
@@ -216,13 +216,18 @@ proptest! {
                 let mut scalar = NappeDelays::for_tile(&spec, tile);
                 scalar.fill_scalar_for(engine, tx, nappe);
 
-                let mut batched = NappeDelays::for_tile(&spec, tile);
-                engine.fill_nappe_for(tx, nappe, &mut batched);
-                prop_assert_eq!(
-                    batched.samples(), scalar.samples(),
-                    "{} tx {}/{} on {}x{} elements, {}x{}x{} fan, tile {:?}, nappe {}",
-                    engine.name(), tx, n_tx, nx, ny, n_theta, n_phi, n_depth, tile, nappe
-                );
+                let mut rx = NappeDelays::for_tile(&spec, tile);
+                engine.fill_nappe_rx_streamed(nappe, &mut rx, &mut |_, _| {});
+                let mut combined = vec![0.0; rx.n_elements()];
+                for (slot, it, ip) in rx.scanlines() {
+                    let vox = VoxelIndex::new(it, ip, nappe);
+                    engine.combine_tx_row(tx, vox, rx.row(slot), &mut combined);
+                    prop_assert_eq!(
+                        combined.as_slice(), scalar.row(slot),
+                        "{} tx {}/{} on {}x{} elements, {}x{}x{} fan, tile {:?}, nappe {}",
+                        engine.name(), tx, n_tx, nx, ny, n_theta, n_phi, n_depth, tile, nappe
+                    );
+                }
 
                 let mut streamed = NappeDelays::for_tile(&spec, tile);
                 let mut delivered: Vec<(usize, Vec<f64>)> = Vec::new();

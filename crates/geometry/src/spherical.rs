@@ -27,6 +27,14 @@ pub struct SphericalDirection {
     pub phi: f64,
 }
 
+/// Eq. 5's unit vector from `(sin θ, cos θ)` and `(sin φ, cos φ)` — the
+/// one definition behind [`SphericalDirection::unit`] and the volume
+/// grid's cached focal-point positions, so both produce identical bits.
+#[inline]
+pub(crate) fn unit_from_sin_cos((st, ct): (f64, f64), (sp, cp): (f64, f64)) -> Vec3 {
+    Vec3::new(cp * st, sp, cp * ct)
+}
+
 impl SphericalDirection {
     /// Creates a direction from azimuth `theta` and elevation `phi`
     /// (radians).
@@ -44,9 +52,7 @@ impl SphericalDirection {
     /// Unit vector of this direction per Eq. 5.
     #[inline]
     pub fn unit(self) -> Vec3 {
-        let (st, ct) = self.theta.sin_cos();
-        let (sp, cp) = self.phi.sin_cos();
-        Vec3::new(cp * st, sp, cp * ct)
+        unit_from_sin_cos(self.theta.sin_cos(), self.phi.sin_cos())
     }
 
     /// The point at distance `r` (metres) from the origin along this

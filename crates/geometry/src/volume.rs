@@ -1,5 +1,6 @@
 //! The imaging volume: a spherical-sector grid of focal points.
 
+use crate::spherical::unit_from_sin_cos;
 use crate::{SphericalDirection, Vec3};
 use std::fmt;
 
@@ -53,6 +54,11 @@ pub struct ImagingVolume {
     n_theta: usize,
     n_phi: usize,
     n_depth: usize,
+    /// `(sin θ, cos θ)` of every azimuth line and `(sin φ, cos φ)` of
+    /// every elevation line, computed once so [`ImagingVolume::position`]
+    /// costs a few multiplies instead of four libm calls per focal point.
+    sin_cos_theta: Vec<(f64, f64)>,
+    sin_cos_phi: Vec<(f64, f64)>,
 }
 
 impl ImagingVolume {
@@ -84,6 +90,11 @@ impl ImagingVolume {
             phi_max > 0.0 && phi_max < std::f64::consts::FRAC_PI_2,
             "phi_max must be in (0, π/2), got {phi_max}"
         );
+        let sin_cos = |n: usize, max: f64| -> Vec<(f64, f64)> {
+            (0..n)
+                .map(|i| Self::angle_of(i, n, max).sin_cos())
+                .collect()
+        };
         ImagingVolume {
             theta_max,
             phi_max,
@@ -91,6 +102,8 @@ impl ImagingVolume {
             n_theta,
             n_phi,
             n_depth,
+            sin_cos_theta: sin_cos(n_theta, theta_max),
+            sin_cos_phi: sin_cos(n_phi, phi_max),
         }
     }
 
@@ -183,10 +196,16 @@ impl ImagingVolume {
         SphericalDirection::new(self.theta_of(it), self.phi_of(ip))
     }
 
-    /// Cartesian position of a focal point (Eq. 5).
+    /// Cartesian position of a focal point (Eq. 5): bit-identical to
+    /// `self.direction(v.it, v.ip).point_at(self.depth_of(v.id))`, from
+    /// the per-line sines and cosines cached at construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` lies outside the angular grid.
     #[inline]
     pub fn position(&self, v: VoxelIndex) -> Vec3 {
-        self.direction(v.it, v.ip).point_at(self.depth_of(v.id))
+        unit_from_sin_cos(self.sin_cos_theta[v.it], self.sin_cos_phi[v.ip]) * self.depth_of(v.id)
     }
 
     /// Flattens a voxel index into scanline-major linear order
@@ -268,6 +287,21 @@ mod tests {
         for id in 0..v.n_depth() {
             let p = v.position(VoxelIndex::new(3, 2, id));
             assert!((p.norm() - v.depth_of(id)).abs() < 1e-15);
+        }
+    }
+
+    #[test]
+    fn cached_positions_match_the_direction_formula_bit_for_bit() {
+        let v = vol();
+        for i in 0..v.voxel_count() {
+            let vox = v.voxel_at(i);
+            let p = v.position(vox);
+            let q = v.direction(vox.it, vox.ip).point_at(v.depth_of(vox.id));
+            assert_eq!(
+                (p.x.to_bits(), p.y.to_bits(), p.z.to_bits()),
+                (q.x.to_bits(), q.y.to_bits(), q.z.to_bits()),
+                "{vox}"
+            );
         }
     }
 

@@ -1,8 +1,10 @@
 //! Coherent plane-wave compounding demo: a 16-angle steered fan
 //! acquired and beamformed as ONE compound frame through the warm
-//! `FramePipeline`, with the factored delay-generation stages (the
+//! `FramePipeline`, with the tile kernel's delay-generation stages (the
 //! transmit-invariant receive leg vs the per-transmit combine vs the
-//! quantize/gather/MAC back end) timed individually on one tile.
+//! quantize/gather/MAC back end) timed individually on one tile. The
+//! same kernel runs the paper's single point-source emission as a
+//! compound of one transmit.
 //!
 //! Run with: `cargo run --release --example cpwc_compound`
 
@@ -64,11 +66,10 @@ fn main() {
         grid.voxel_count()
     );
 
-    // --- Per-stage split on one tile, single-threaded: peel the
-    // factored loop apart through the public engine API. The receive
-    // leg is filled ONCE per nappe regardless of the angle count; only
-    // the combine and the gather/MAC scale with N. ---
-    assert!(engine.supports_factored_fill());
+    // --- Per-stage split on one tile, single-threaded: peel the tile
+    // kernel apart through the public engine API. The receive leg is
+    // filled ONCE per nappe regardless of the angle count; only the
+    // combine and the gather/MAC scale with N. ---
     let bf = Beamformer::new(&spec);
     let tile = NappeSchedule::fitted(&spec, 16).tiles()[5];
     let n_depth = grid.n_depth();
@@ -83,7 +84,7 @@ fn main() {
         std::hint::black_box(slab.samples()[0]);
     });
     // Mirror the kernel's masked-transmit skip: EXACT has no rounding
-    // telemetry, so the factored loop never combines a (voxel, transmit)
+    // telemetry, so the kernel never combines a (voxel, transmit)
     // pair outside that wave's footprint. Precompute the mask the way
     // `TileState` does so the peel times only combine work.
     let skip_masked = !engine.rounding_telemetry();
@@ -128,7 +129,7 @@ fn main() {
         ("rx-leg slab fill (once per nappe)", fill_s),
         ("per-transmit combine (xN angles)", combine_s),
         ("quantize + gather + MAC (xN)", back_end_s),
-        ("total factored tile", total_s),
+        ("total tile kernel", total_s),
     ] {
         println!(
             "  {stage:<36} {:10.1} us  ({:5.1}% of total)",
@@ -136,6 +137,21 @@ fn main() {
             s / total_s * 100.0
         );
     }
+
+    // Every angle's delays are the receive slab plus one combine per row:
+    // the composed fill lands bit for bit on the scalar oracle.
+    let mut composed = NappeDelays::for_tile(&spec, tile);
+    let mut scalar = NappeDelays::for_tile(&spec, tile);
+    let bit_exact = (0..n_tx).all(|tx| {
+        engine.fill_nappe_streamed_for(tx, n_depth / 2, &mut composed, &mut |_, _| {});
+        scalar.fill_scalar_for(&engine, tx, n_depth / 2);
+        composed == scalar
+    });
+    assert!(
+        bit_exact,
+        "rx fill + combine must reproduce the scalar oracle"
+    );
+    println!("  rx fill + combine vs scalar oracle, all {n_tx} transmits: bit-exact");
 
     // --- End to end: the 16-angle compound as warm pipeline frames. ---
     let arc_engine: Arc<dyn DelayEngine + Send + Sync> = Arc::new(ExactEngine::new(&spec));

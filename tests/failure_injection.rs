@@ -6,8 +6,8 @@ use usbf::beamform::{
     Beamformer, FramePipeline, FrameRing, PipelineError, ShardConfig, ShardedRuntime, VolumeLoop,
 };
 use usbf::core::{
-    DelayEngine, EngineError, ExactEngine, NaiveTableEngine, TableFreeConfig, TableFreeEngine,
-    TableSteerConfig, TableSteerEngine,
+    DelayEngine, EngineError, ExactEngine, NaiveTableEngine, NappeDelays, TableFreeConfig,
+    TableFreeEngine, TableSteerConfig, TableSteerEngine,
 };
 use usbf::fixed::{Fixed, FixedError, QFormat, RoundingMode};
 use usbf::geometry::{ElementIndex, SystemSpec, TransducerSpec, VolumeSpec, VoxelIndex};
@@ -124,21 +124,39 @@ impl FaultyEngine {
     fn arm(&self, on: bool) {
         self.armed.store(on, std::sync::atomic::Ordering::SeqCst);
     }
+
+    fn fire_if_armed(&self) {
+        assert!(
+            !self.armed.load(std::sync::atomic::Ordering::SeqCst),
+            "injected delay fault"
+        );
+    }
 }
 
 impl DelayEngine for FaultyEngine {
     fn name(&self) -> &'static str {
         "FAULTY"
     }
-    fn delay_samples(&self, vox: VoxelIndex, e: ElementIndex) -> f64 {
-        assert!(
-            !self.armed.load(std::sync::atomic::Ordering::SeqCst),
-            "injected delay fault"
-        );
-        self.inner.delay_samples(vox, e)
+    fn delay_samples_for(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> f64 {
+        self.fire_if_armed();
+        self.inner.delay_samples_for(tx, vox, e)
     }
     fn echo_buffer_len(&self) -> usize {
         self.inner.echo_buffer_len()
+    }
+    fn fill_nappe_rx_streamed(
+        &self,
+        nappe_idx: usize,
+        out: &mut NappeDelays,
+        consume: &mut dyn FnMut(usize, &[f64]),
+    ) {
+        // Fires inside the frame's delay generation, so the fault lands
+        // mid-frame on a pool worker.
+        self.fire_if_armed();
+        self.inner.fill_nappe_rx_streamed(nappe_idx, out, consume);
+    }
+    fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
+        self.inner.combine_tx_row(tx, vox, rx_row, out);
     }
 }
 

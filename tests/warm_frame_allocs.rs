@@ -208,9 +208,8 @@ fn warm_frames_do_no_per_tile_allocation() {
     );
     drop(pipe);
 
-    // --- Coherent plane-wave compounding, factored loop: EXACT joins
-    // the factored fill family, so a warm 4-angle compound frame fills
-    // the receive-leg slab once per nappe and combines each transmit's
+    // --- Coherent plane-wave compounding: a warm 4-angle compound frame
+    // fills the receive-leg slab once per nappe and combines each transmit's
     // per-voxel term through the preallocated `tx_row` scratch — all of
     // it slab/state-resident, so the N-angle frame must measure 0 just
     // like the single-transmit one. (Narrow cone: under tiny()'s ±36.5°
@@ -256,43 +255,7 @@ fn warm_frames_do_no_per_tile_allocation() {
     assert_eq!(
         cpwc_allocs,
         0,
-        "warm 4-angle factored compound frames must not allocate \
-         ({FRAMES} frames, {} tiles each, 4 transmits per frame)",
-        cpwc_schedule.tiles().len()
-    );
-    drop(pipe);
-
-    // --- Coherent plane-wave compounding, fused fallback: `FusedOnly`
-    // hides the factored family, forcing the per-transmit loop through
-    // the low-resolution staging buffer — the pre-PR-10 datapath, which
-    // must stay 0-alloc too (it remains the path for engines without a
-    // separable receive leg). ---
-    let fused_engine: Arc<dyn DelayEngine + Send + Sync> =
-        Arc::new(usbf::core::FusedOnly(ExactEngine::new(&cpwc_spec)));
-    let cpwc_rf_fused = EchoSynthesizer::new(&cpwc_spec).synthesize(
-        &Phantom::point(cpwc_spec.volume_grid.position(VoxelIndex::new(4, 4, 10))),
-        &Pulse::from_spec(&cpwc_spec),
-    );
-    let mut pipe = FramePipeline::with_pool(
-        Beamformer::new(&cpwc_spec),
-        Arc::clone(&fused_engine),
-        FrameRing::new(vec![cpwc_rf_fused]),
-        Arc::clone(&pool),
-        &cpwc_schedule,
-    );
-    for _ in 0..5 {
-        pipe.next_volume().expect("warm-up fused compound frame");
-    }
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for _ in 0..FRAMES {
-        pipe.next_volume().expect("warm fused compound frame");
-    }
-    let fused_allocs = ALLOCS.load(Ordering::SeqCst) - before;
-    eprintln!("CPWC_FUSED_ALLOCS={fused_allocs}");
-    assert_eq!(
-        fused_allocs,
-        0,
-        "warm 4-angle fused-fallback compound frames must not allocate \
+        "warm 4-angle compound frames must not allocate \
          ({FRAMES} frames, {} tiles each, 4 transmits per frame)",
         cpwc_schedule.tiles().len()
     );
