@@ -17,7 +17,8 @@ pub enum Apodization {
     /// Hamming window: `0.54 + 0.46·cos(πξ)`.
     Hamming,
     /// Tukey (tapered-cosine) window with taper fraction in `[0, 1]`
-    /// (0 → Rect, 1 → Hann).
+    /// (0 → Rect, 1 → Hann). Out-of-range tapers clamp into the range;
+    /// a NaN taper counts as 0 (Rect).
     Tukey(f64),
 }
 
@@ -29,7 +30,13 @@ impl Apodization {
             Apodization::Hann => 0.5 * (1.0 + (std::f64::consts::PI * xi).cos()),
             Apodization::Hamming => 0.54 + 0.46 * (std::f64::consts::PI * xi).cos(),
             Apodization::Tukey(taper) => {
-                let taper = taper.clamp(0.0, 1.0);
+                // `clamp` passes NaN through, which would poison every
+                // weight; a NaN taper clamps to 0 (Rect) instead.
+                let taper = if taper.is_nan() {
+                    0.0
+                } else {
+                    taper.clamp(0.0, 1.0)
+                };
                 if taper == 0.0 || xi < 1.0 - taper {
                     1.0
                 } else {
@@ -169,6 +176,19 @@ mod tests {
             let t1 = Apodization::Tukey(1.0).weight(&a, e);
             assert!((t1 - hann).abs() < 1e-12, "e={e}: {t1} vs {hann}");
         }
+    }
+
+    #[test]
+    fn nan_tukey_taper_is_rect() {
+        let a = array();
+        let rect = Apodization::Rect.weights(&a);
+        let nan = Apodization::Tukey(f64::NAN).weights(&a);
+        assert!(nan.iter().all(|w| w.is_finite()), "{nan:?}");
+        assert_eq!(nan, rect);
+        assert_eq!(
+            ActiveAperture::build(Apodization::Tukey(f64::NAN), &a),
+            ActiveAperture::build(Apodization::Rect, &a)
+        );
     }
 
     #[test]

@@ -41,11 +41,16 @@ pub(crate) fn scatter_tile(out: &mut BeamformedVolume, tile: Tile, values: &[f64
     }
 }
 
+/// Voxels per gather/MAC block: the tile kernel takes consecutive slots
+/// of one nappe in blocks of up to this many and gathers them channel by
+/// channel. A fixed constant, not a setting (8, 16 and 32 measure alike).
+const BLOCK: usize = 8;
+
 /// Warm per-tile state: one task's receive-leg slab, output staging
-/// buffer, per-voxel mask weights and the row-length scratch buffers of
-/// the tile kernel (combined delay row → compacted delay row → quantized
-/// index row → gathered sample row), allocated once at construction and
-/// refilled every frame. One
+/// buffer, per-voxel mask weights and the scratch of the tile kernel (a
+/// combined delay row, plus one block of compacted delay rows and of
+/// quantized index rows), allocated once at construction and refilled
+/// every frame. One
 /// definition shared by [`VolumeLoop`](crate::VolumeLoop) and
 /// [`FramePipeline`](crate::FramePipeline) (and through the latter,
 /// [`ShardedRuntime`](crate::ShardedRuntime)), so the warm-state shape
@@ -54,15 +59,15 @@ pub(crate) fn scatter_tile(out: &mut BeamformedVolume, tile: Tile, values: &[f64
 pub struct TileState {
     pub(crate) slab: NappeDelays,
     pub(crate) values: Vec<f64>,
-    /// Active elements' delays of one scanline row, compacted out of
-    /// `tx_row` (bypassed when the aperture is full — `tx_row` is already
-    /// the active row).
+    /// One block of active-aperture delay rows, `[voxel in block][active
+    /// channel]`: the linear gather's fractional delays, compacted out of
+    /// `tx_row` (or combined straight in when the aperture is full). The
+    /// nearest gather stages one compacted row here before quantizing.
     pub(crate) delays: Vec<f64>,
-    /// The quantized echo-buffer index row, filled by one
-    /// [`DelayEngine::quantize_row`] call per (nappe, scanline).
+    /// One block of quantized echo-buffer index rows, same layout as
+    /// `delays`, filled by one [`DelayEngine::quantize_row`] call per
+    /// (voxel, transmit).
     pub(crate) indices: Vec<i32>,
-    /// The gathered sample row the weighted accumulate consumes.
-    pub(crate) samples: Vec<f64>,
     /// One combined per-transmit delay row:
     /// [`DelayEngine::combine_tx_row`] writes the transmit term folded
     /// onto the receive-leg slab row here, per (voxel, transmit). Sized
@@ -82,7 +87,8 @@ pub struct TileState {
 impl TileState {
     /// Allocates the warm state for one schedule tile of `beamformer`'s
     /// spec: the delay slab, the `[scanline][depth]` staging buffer, the
-    /// kernel's scratch rows (sized to the compacted aperture) and every
+    /// kernel's block scratch (one gather block × the compacted aperture,
+    /// whatever the transmit count) and every
     /// transmit's per-voxel mask weight, so the warm accumulate never
     /// calls back into geometry.
     #[must_use]
@@ -103,9 +109,8 @@ impl TileState {
         TileState {
             slab: NappeDelays::for_tile(spec, tile),
             values: vec![0.0; n_values],
-            delays: vec![0.0; active],
-            indices: vec![0; active],
-            samples: vec![0.0; active],
+            delays: vec![0.0; BLOCK * active],
+            indices: vec![0; BLOCK * active],
             tx_row: vec![0.0; spec.elements.count()],
             tx_weights,
             post_scratch: if beamformer.postproc().is_empty() {
@@ -153,6 +158,36 @@ pub(crate) fn scatter_tiles(
     }
 }
 
+/// The tile kernel's block gather/MAC over the staged rows of the live
+/// voxels `first..sums.len()`, in as many fixed-width passes of `W`
+/// voxels as fit (index rows for the nearest gather, delay rows for the
+/// linear one); returns the first row left over for a narrower pass.
+fn block_mac<const NEAREST: bool, const W: usize>(
+    rf: &RfFrame,
+    tx: usize,
+    aperture: &ActiveAperture,
+    delays: &[f64],
+    indices: &[i32],
+    sums: &mut [f64],
+    mut first: usize,
+) -> usize {
+    let (channels, weights) = (aperture.channels(), aperture.weights());
+    let a = channels.len();
+    while sums.len() - first >= W {
+        let rows = first * a..(first + W) * a;
+        let acc: &mut [f64; W] = (&mut sums[first..first + W])
+            .try_into()
+            .expect("a pass sums W voxels");
+        if NEAREST {
+            rf.gather_mac_nearest_block_for(tx, channels, weights, &indices[rows], acc);
+        } else {
+            rf.gather_mac_linear_block_for(tx, channels, weights, &delays[rows], acc);
+        }
+        first += W;
+    }
+    first
+}
+
 /// Compacts one slab row down to the active aperture: `out[k] =
 /// row[channels[k]]`. Skipped entirely when the aperture is full.
 #[inline]
@@ -160,78 +195,6 @@ fn compact_row(row: &[f64], channels: &[u32], out: &mut [f64]) {
     for (o, &c) in out.iter_mut().zip(channels) {
         *o = row[c as usize];
     }
-}
-
-/// The Eq. 1 accumulate: `Σ_k w[k] · s[k]` over the compacted aperture,
-/// dispatched on the beamformer's [`Reduction`] mode. Every path of a
-/// beamformer (scalar walk and tile kernels alike) routes through this
-/// with the same mode, so batched-vs-scalar bit-identity holds **within**
-/// each mode.
-#[inline]
-fn weighted_sum(weights: &[f64], samples: &[f64], reduction: Reduction) -> f64 {
-    match reduction {
-        Reduction::Sequential => weighted_sum_sequential(weights, samples),
-        Reduction::Wide4 => weighted_sum_wide4(weights, samples),
-    }
-}
-
-/// Sequential MAC, unrolled in chunks of 8 multiply-accumulates. A
-/// **single** running accumulator keeps the floating-point addition order
-/// identical to a plain per-element walk (the historical bit pattern
-/// every existing output reproduces; multi-lane reductions would
-/// reassociate the sum), so the chunking only removes loop-control
-/// overhead.
-#[inline]
-fn weighted_sum_sequential(weights: &[f64], samples: &[f64]) -> f64 {
-    debug_assert_eq!(weights.len(), samples.len());
-    let mut acc = 0.0;
-    let mut wc = weights.chunks_exact(8);
-    let mut sc = samples.chunks_exact(8);
-    for (w, s) in (&mut wc).zip(&mut sc) {
-        acc += w[0] * s[0];
-        acc += w[1] * s[1];
-        acc += w[2] * s[2];
-        acc += w[3] * s[3];
-        acc += w[4] * s[4];
-        acc += w[5] * s[5];
-        acc += w[6] * s[6];
-        acc += w[7] * s[7];
-    }
-    for (&w, &s) in wc.remainder().iter().zip(sc.remainder()) {
-        acc += w * s;
-    }
-    acc
-}
-
-/// Four-lane MAC: four independent accumulators striped over chunks of 8,
-/// merged pairwise `(a0+a1)+(a2+a3)`, remainder folded sequentially. The
-/// lanes break the loop-carried addition dependency (≈4 FMAs in flight
-/// instead of 1), which is the ROADMAP "wider MAC lanes" win — at the
-/// price of a **reassociated** sum relative to [`Reduction::Sequential`].
-/// The association is itself fixed and deterministic, so outputs are
-/// reproducible and the batched/scalar bit-identity proptests hold within
-/// the mode; only cross-mode equality is (deliberately) surrendered.
-#[inline]
-fn weighted_sum_wide4(weights: &[f64], samples: &[f64]) -> f64 {
-    debug_assert_eq!(weights.len(), samples.len());
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut wc = weights.chunks_exact(8);
-    let mut sc = samples.chunks_exact(8);
-    for (w, s) in (&mut wc).zip(&mut sc) {
-        a0 += w[0] * s[0];
-        a1 += w[1] * s[1];
-        a2 += w[2] * s[2];
-        a3 += w[3] * s[3];
-        a0 += w[4] * s[4];
-        a1 += w[5] * s[5];
-        a2 += w[6] * s[6];
-        a3 += w[7] * s[7];
-    }
-    let mut acc = (a0 + a1) + (a2 + a3);
-    for (&w, &s) in wc.remainder().iter().zip(sc.remainder()) {
-        acc += w * s;
-    }
-    acc
 }
 
 /// How echo samples are fetched at the computed delay.
@@ -246,21 +209,6 @@ pub enum Interpolation {
     Linear,
 }
 
-/// How the Eq. 1 aperture sum is reduced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Reduction {
-    /// One running accumulator in element order — the historical bit
-    /// pattern, bit-identical to a plain per-element walk.
-    #[default]
-    Sequential,
-    /// Four independent accumulator lanes merged `(a0+a1)+(a2+a3)` —
-    /// breaks the loop-carried FP dependency for throughput. The sum is
-    /// reassociated relative to [`Sequential`](Reduction::Sequential)
-    /// (deterministically — all paths of a beamformer share the mode, so
-    /// batched/scalar bit-identity still holds within it).
-    Wide4,
-}
-
 /// A delay-and-sum beamformer bound to a system spec.
 ///
 /// The engine is passed per call, so one beamformer can compare multiple
@@ -270,7 +218,6 @@ pub struct Beamformer {
     spec: SystemSpec,
     apodization: Apodization,
     interpolation: Interpolation,
-    reduction: Reduction,
     order: ScanOrder,
     /// The compacted `(channel, weight)` aperture — Eq. 1's `w`, built
     /// once per beamformer lifetime and shared by every path (scalar
@@ -291,7 +238,6 @@ impl Beamformer {
             spec: spec.clone(),
             apodization: Apodization::default(),
             interpolation: Interpolation::default(),
-            reduction: Reduction::default(),
             order: ScanOrder::NappeByNappe,
             aperture: ActiveAperture::build(Apodization::default(), &spec.elements),
             post: PostChain::empty(),
@@ -314,23 +260,6 @@ impl Beamformer {
     pub fn with_interpolation(mut self, interpolation: Interpolation) -> Self {
         self.interpolation = interpolation;
         self
-    }
-
-    /// Sets the aperture-sum reduction mode. [`Reduction::Wide4`] trades
-    /// the historical sequential-sum bit pattern for ~4 FP adds in
-    /// flight; every path of this beamformer (scalar walk and tile kernel
-    /// alike) switches together, so the batched-vs-scalar bit-identity
-    /// invariant is preserved within the chosen mode.
-    #[must_use = "with_reduction returns the configured beamformer; dropping it discards the mode"]
-    pub fn with_reduction(mut self, reduction: Reduction) -> Self {
-        self.reduction = reduction;
-        self
-    }
-
-    /// The configured aperture-sum reduction mode.
-    #[inline]
-    pub fn reduction(&self) -> Reduction {
-        self.reduction
     }
 
     /// Sets the traversal order (Algorithm 1 flavour).
@@ -440,33 +369,16 @@ impl Beamformer {
     }
 
     /// The scalar reference walk's Eq. 1 sum over the compacted aperture,
-    /// with `fetch` producing each element's delayed sample. Sequential
-    /// mode keeps the allocation-free per-element accumulate; Wide4 mode
-    /// materializes the fetched row and reuses the tile kernels' exact
-    /// reduction routine, so the reference replicates the batched
-    /// association bit-for-bit (a per-call `Vec` is acceptable here — the
-    /// scalar walk is the reference oracle, not the warm path).
+    /// with `fetch` producing each element's delayed sample: one running
+    /// accumulator in ascending channel order, the order the tile
+    /// kernel's per-voxel accumulators keep.
     fn scalar_aperture_sum(&self, fetch: &mut dyn FnMut(ElementIndex) -> f64) -> f64 {
         let nx = self.spec.elements.nx();
-        let element = |chan: u32| ElementIndex::new(chan as usize % nx, chan as usize / nx);
-        match self.reduction {
-            Reduction::Sequential => {
-                let mut acc = 0.0;
-                for (&chan, &w) in self.aperture.channels().iter().zip(self.aperture.weights()) {
-                    acc += w * fetch(element(chan));
-                }
-                acc
-            }
-            Reduction::Wide4 => {
-                let samples: Vec<f64> = self
-                    .aperture
-                    .channels()
-                    .iter()
-                    .map(|&chan| fetch(element(chan)))
-                    .collect();
-                weighted_sum_wide4(self.aperture.weights(), &samples)
-            }
+        let mut acc = 0.0;
+        for (&chan, &w) in self.aperture.channels().iter().zip(self.aperture.weights()) {
+            acc += w * fetch(ElementIndex::new(chan as usize % nx, chan as usize / nx));
         }
+        acc
     }
 
     /// Beamforms the whole volume.
@@ -548,14 +460,16 @@ impl Beamformer {
     /// Every spec runs the same loop: the paper's single point-source
     /// emission is a compound of one transmit with mask weight 1. Per
     /// nappe the transmit-invariant receive leg is filled once
-    /// ([`DelayEngine::fill_nappe_rx_streamed`]); per voxel each transmit
-    /// combines its term onto the cached row
-    /// ([`DelayEngine::combine_tx_row`]) and runs row-batched stages —
-    /// compact to the active aperture, one [`DelayEngine::quantize_row`]
-    /// (nearest fetch only), one [`RfFrame`] gather, one chunked
-    /// multiply-accumulate — weighted by its mask into the voxel. The
-    /// gather is chosen **once per tile** by interpolation mode (no
-    /// per-element dispatch). Output is bit-identical to the scalar
+    /// ([`DelayEngine::fill_nappe_rx_streamed`]). The nappe's scanlines
+    /// are then taken in blocks of consecutive slots; per (block,
+    /// transmit) each unmasked voxel combines its term onto the cached
+    /// row ([`DelayEngine::combine_tx_row`]), compacts it to the active
+    /// aperture and quantizes it ([`DelayEngine::quantize_row`], nearest
+    /// fetch only) into the block scratch, and one channel-major
+    /// [`RfFrame`] block gather/MAC sums every live voxel of the block,
+    /// each weighted by its mask into the voxel. The gather is chosen
+    /// **once per tile** by interpolation mode (no per-element
+    /// dispatch). Output is bit-identical to the scalar
     /// [`beamform_voxel`](Self::beamform_voxel) walk, and engines'
     /// rounding telemetry (TABLESTEER clamp counts) advances exactly as
     /// per-element queries over every (voxel, transmit) pair would.
@@ -583,7 +497,7 @@ impl Beamformer {
         );
         assert_eq!(
             state.indices.len(),
-            self.aperture.len(),
+            BLOCK * self.aperture.len(),
             "scratch rows must match the compacted aperture"
         );
         assert_eq!(
@@ -628,17 +542,24 @@ impl Beamformer {
     /// nearest sample; otherwise the fractional delays feed a linear
     /// interpolating gather directly.
     ///
-    /// Per voxel, transmits accumulate in ascending order into a zeroed
-    /// value. A zero mask weight is **skipped**, never multiplied:
-    /// outside a steered wave's footprint the per-transmit sum is
-    /// meaningless (and may be non-finite under hostile inputs), and
-    /// `0.0 * NaN` is NaN. When the rounding stage is side-effect-free
+    /// Loop nest: nappe → block of up to [`BLOCK`] consecutive slots →
+    /// transmit → (stage every live voxel's row, then one block
+    /// gather/MAC: channel → voxel). Each voxel's accumulator adds its
+    /// channels in ascending order, and each voxel's value adds its
+    /// transmits in ascending order, so the output is bit-identical to
+    /// the scalar walk; the block only interleaves independent voxels.
+    ///
+    /// A zero mask weight is **skipped**, never multiplied: outside a
+    /// steered wave's footprint the per-transmit sum is meaningless (and
+    /// may be non-finite under hostile inputs), and `0.0 * NaN` is NaN.
+    /// Each block is compacted to its live voxels per transmit, so masked
+    /// pairs cost no gathers. When the rounding stage is side-effect-free
     /// (always for the linear gather, and when
-    /// [`DelayEngine::rounding_telemetry`] is `false`) the whole masked
-    /// body is skipped. Engines **with** rounding telemetry (TABLESTEER's
-    /// clamp counter) still combine and quantize masked pairs so their
-    /// counters advance exactly as scalar queries over every pair would;
-    /// only the gather/MAC/accumulate is skipped there.
+    /// [`DelayEngine::rounding_telemetry`] is `false`) masked pairs are
+    /// not combined either. Engines **with** rounding telemetry
+    /// (TABLESTEER's clamp counter) still combine and quantize masked
+    /// pairs, into the next free scratch row, so their counters advance
+    /// exactly as scalar queries over every pair would.
     fn tile_kernel<const NEAREST: bool>(
         &self,
         engine: &dyn DelayEngine,
@@ -650,51 +571,75 @@ impl Beamformer {
             values,
             delays,
             indices,
-            samples,
             tx_row,
             tx_weights,
             ..
         } = state;
         let tile = slab.tile();
+        let n_slots = tile.scanlines();
         let n_depth = self.spec.volume_grid.n_depth();
-        let n_tx = self.spec.n_transmits();
         let n_values = values.len();
-        let channels = self.aperture.channels();
-        let weights = self.aperture.weights();
-        let full = self.aperture.is_full();
+        let ap = &self.aperture;
+        let channels = ap.channels();
+        let active = channels.len();
+        let full = ap.is_full();
         let skip_masked = !(NEAREST && engine.rounding_telemetry());
-        let reduction = self.reduction;
         values.fill(0.0);
         for id in 0..n_depth {
-            engine.fill_nappe_rx_streamed(id, slab, &mut |slot, rx_row| {
-                let (it, ip) = tile.scanline_at(slot);
-                let vox = VoxelIndex::new(it, ip, id);
-                let v = slot * n_depth + id;
-                for tx in 0..n_tx {
-                    let m = tx_weights[tx * n_values + v];
-                    if skip_masked && m == 0.0 {
-                        continue;
-                    }
-                    engine.combine_tx_row(tx, vox, rx_row, tx_row);
-                    let active_delays = if full {
-                        &*tx_row
-                    } else {
-                        compact_row(tx_row, channels, delays);
-                        &*delays
-                    };
-                    if NEAREST {
-                        engine.quantize_row(active_delays, indices);
-                    }
-                    if m != 0.0 {
-                        if NEAREST {
-                            rf.gather_nearest_into_for(tx, channels, indices, samples);
-                        } else {
-                            rf.gather_linear_into_for(tx, channels, active_delays, samples);
+            engine.fill_nappe_rx_streamed(id, slab, &mut |_, _| {});
+            for start in (0..n_slots).step_by(BLOCK) {
+                let block = start..n_slots.min(start + BLOCK);
+                for (tx, masks) in tx_weights.chunks_exact(n_values).enumerate() {
+                    // The block's live voxels for this transmit: value
+                    // slot and mask weight, in slot order.
+                    let mut live = [(0usize, 0.0f64); BLOCK];
+                    let mut n_live = 0;
+                    for slot in block.clone() {
+                        let v = slot * n_depth + id;
+                        let m = masks[v];
+                        if skip_masked && m == 0.0 {
+                            continue;
                         }
-                        values[v] += m * weighted_sum(weights, samples, reduction);
+                        let (it, ip) = tile.scanline_at(slot);
+                        let vox = VoxelIndex::new(it, ip, id);
+                        let rx_row = slab.row(slot);
+                        // Staged into the next free row; a masked pair
+                        // (telemetry only) is overwritten or left unread.
+                        let row = n_live * active..(n_live + 1) * active;
+                        if NEAREST {
+                            engine.combine_tx_row(tx, vox, rx_row, tx_row);
+                            let active_delays = if full {
+                                &*tx_row
+                            } else {
+                                compact_row(tx_row, channels, &mut delays[..active]);
+                                &delays[..active]
+                            };
+                            engine.quantize_row(active_delays, &mut indices[row]);
+                        } else if full {
+                            engine.combine_tx_row(tx, vox, rx_row, &mut delays[row]);
+                        } else {
+                            engine.combine_tx_row(tx, vox, rx_row, tx_row);
+                            compact_row(tx_row, channels, &mut delays[row]);
+                        }
+                        if m != 0.0 {
+                            live[n_live] = (v, m);
+                            n_live += 1;
+                        }
+                    }
+                    // A full block is one gather/MAC pass; a partial one
+                    // (tile edge, masked voxels) at most three narrower
+                    // ones, each of a fixed width the compiler unrolls.
+                    let mut acc = [0.0; BLOCK];
+                    let sums = &mut acc[..n_live];
+                    let q = block_mac::<NEAREST, BLOCK>(rf, tx, ap, delays, indices, sums, 0);
+                    let q = block_mac::<NEAREST, 4>(rf, tx, ap, delays, indices, sums, q);
+                    let q = block_mac::<NEAREST, 2>(rf, tx, ap, delays, indices, sums, q);
+                    block_mac::<NEAREST, 1>(rf, tx, ap, delays, indices, sums, q);
+                    for (&(v, m), &sum) in live[..n_live].iter().zip(&acc) {
+                        values[v] += m * sum;
                     }
                 }
-            });
+            }
         }
     }
 
@@ -893,41 +838,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wide4_reduction_is_bit_identical_between_batched_and_scalar_paths() {
-        // Wide4 reassociates the aperture sum, but deterministically:
-        // the scalar reference replicates the 4-lane association, so the
-        // batched/scalar invariant holds within the mode.
-        let (spec, rf) = setup(Vec3::new(0.004, -0.002, 0.055));
-        let engine = ExactEngine::new(&spec);
-        for interp in [Interpolation::Nearest, Interpolation::Linear] {
-            let bf = |order| {
-                Beamformer::new(&spec)
-                    .with_interpolation(interp)
-                    .with_reduction(Reduction::Wide4)
-                    .with_order(order)
-            };
-            let batched = bf(ScanOrder::NappeByNappe).beamform_volume(&engine, &rf);
-            let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(&engine, &rf);
-            assert_eq!(batched, scalar, "{interp:?}");
-        }
-    }
-
-    #[test]
-    fn wide4_reduction_still_focuses_on_the_target() {
-        let spec = SystemSpec::tiny();
-        let vox = VoxelIndex::new(3, 4, 9);
-        let rf = EchoSynthesizer::new(&spec).synthesize(
-            &Phantom::point(on_voxel_target(&spec, vox)),
-            &Pulse::from_spec(&spec),
-        );
-        let engine = ExactEngine::new(&spec);
-        let vol = Beamformer::new(&spec)
-            .with_reduction(Reduction::Wide4)
-            .beamform_volume(&engine, &rf);
-        assert_eq!(vol.argmax(), vox);
-    }
-
     /// A 4-angle compound spec on the tiny grid, with a synthesized
     /// multi-transmit acquisition.
     fn compound_setup() -> (SystemSpec, RfFrame) {
@@ -1003,29 +913,20 @@ mod tests {
     fn factored_compound_path_matches_scalar_reference() {
         // End-to-end: the batched compound volume equals the per-voxel
         // scalar compound walk (which reaches the same numbers through
-        // delay_index_for / delay_samples_for, never the row family), in
-        // both reduction modes.
+        // delay_index_for / delay_samples_for, never the row family).
         let (spec, rf) = compound_setup();
         let exact = ExactEngine::new(&spec);
         let steer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
         for engine in [&exact as &dyn usbf_core::DelayEngine, &steer] {
             for interp in [Interpolation::Nearest, Interpolation::Linear] {
-                for reduction in [Reduction::Sequential, Reduction::Wide4] {
-                    let bf = |order| {
-                        Beamformer::new(&spec)
-                            .with_interpolation(interp)
-                            .with_reduction(reduction)
-                            .with_order(order)
-                    };
-                    let batched = bf(ScanOrder::NappeByNappe).beamform_volume(engine, &rf);
-                    let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(engine, &rf);
-                    assert_eq!(
-                        batched,
-                        scalar,
-                        "{} {interp:?} {reduction:?}",
-                        engine.name()
-                    );
-                }
+                let bf = |order| {
+                    Beamformer::new(&spec)
+                        .with_interpolation(interp)
+                        .with_order(order)
+                };
+                let batched = bf(ScanOrder::NappeByNappe).beamform_volume(engine, &rf);
+                let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(engine, &rf);
+                assert_eq!(batched, scalar, "{} {interp:?}", engine.name());
             }
         }
     }

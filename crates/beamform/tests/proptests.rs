@@ -1,17 +1,17 @@
 //! Property-based invariants of the beamforming pipeline.
 
 use proptest::prelude::*;
-use usbf_beamform::{Apodization, Beamformer, BmodeConfig, Interpolation, PostChain};
+use usbf_beamform::{Apodization, Beamformer, BmodeConfig, Interpolation, PostChain, TileState};
 use usbf_core::{
     DelayEngine, ExactEngine, NaiveTableEngine, TableFreeConfig, TableFreeEngine, TableSteerConfig,
-    TableSteerEngine,
+    TableSteerEngine, Tile,
 };
 use usbf_geometry::scan::ScanOrder;
 use usbf_geometry::{
     ElementIndex, SystemSpec, TransducerSpec, TransmitModel, Vec3, VolumeSpec, VoxelIndex,
     SPEED_OF_SOUND,
 };
-use usbf_sim::{EchoSynthesizer, Phantom, Pulse};
+use usbf_sim::{EchoSynthesizer, Phantom, Pulse, RfFrame};
 
 fn rf_for(spec: &SystemSpec, vox: VoxelIndex) -> usbf_sim::RfFrame {
     EchoSynthesizer::new(spec).synthesize(
@@ -92,8 +92,230 @@ fn random_transmits(n_tx: usize, kinds: usize, a: usize, b: usize) -> Vec<Transm
         .collect()
 }
 
+/// The tile kernel's gather/MAC block width: the edge cases below are
+/// tiles of 1, 8 − 1 and 8 + 1 scanlines.
+const BLOCK: usize = 8;
+
+/// A tile of `shape` (θ lines × φ lines) placed by `(a, b)` inside the
+/// spec's fan.
+fn tile_in(spec: &SystemSpec, (w_theta, w_phi): (usize, usize), a: usize, b: usize) -> Tile {
+    let theta_start = a % (spec.volume_grid.n_theta() - w_theta + 1);
+    let phi_start = b % (spec.volume_grid.n_phi() - w_phi + 1);
+    Tile {
+        theta_start,
+        theta_end: theta_start + w_theta,
+        phi_start,
+        phi_end: phi_start + w_phi,
+    }
+}
+
+/// Engine `i` of the four architectures, freshly built (zeroed counters).
+fn engine(spec: &SystemSpec, i: usize) -> Box<dyn DelayEngine> {
+    match i {
+        0 => Box::new(ExactEngine::new(spec)),
+        1 => Box::new(NaiveTableEngine::build(spec, u64::MAX).expect("tiny table fits")),
+        2 => Box::new(TableFreeEngine::new(spec, TableFreeConfig::paper()).expect("builds")),
+        _ => Box::new(TableSteerEngine::new(spec, TableSteerConfig::bits18()).expect("builds")),
+    }
+}
+
+/// What one block-edge case exercised.
+#[derive(Debug, Default)]
+struct BlockEdgeCoverage {
+    /// (nappe, transmit, block) triples whose block holds both masked and
+    /// unmasked voxels.
+    mixed_blocks: usize,
+    /// RF samples set to NaN because only masked pairs could read them.
+    nan_samples: usize,
+}
+
+/// Beamforms `tile` through [`Beamformer::beamform_tile_into`] for all
+/// four engines × nearest/linear and checks every value bit for bit
+/// against [`Beamformer::beamform_voxel`]. The RF is `rf` with every
+/// sample that no unmasked (voxel, transmit) pair of the tile reads set
+/// to NaN, so a masked pair that reached the gather/MAC would poison its
+/// block; every value must stay finite. TABLESTEER's clamp count must
+/// equal scalar `delay_index_for` queries over every pair of the tile,
+/// masked ones included.
+fn check_block_edges(
+    spec: &SystemSpec,
+    tile: Tile,
+    rf: &RfFrame,
+) -> Result<BlockEdgeCoverage, TestCaseError> {
+    let n_depth = spec.volume_grid.n_depth();
+    let n_tx = spec.n_transmits();
+    let nx = spec.elements.nx();
+    let n_samples = rf.n_samples() as i64;
+    let voxels: Vec<(usize, VoxelIndex)> = tile
+        .iter_scanlines()
+        .flat_map(|(slot, it, ip)| {
+            (0..n_depth).map(move |id| (slot * n_depth + id, VoxelIndex::new(it, ip, id)))
+        })
+        .collect();
+    let live = |tx: usize, vox: VoxelIndex| {
+        spec.transmit_weight(tx, spec.volume_grid.position(vox)) != 0.0
+    };
+    let mut coverage = BlockEdgeCoverage::default();
+    for id in 0..n_depth {
+        for tx in 0..n_tx {
+            let slots: Vec<usize> = (0..tile.scanlines()).collect();
+            for block in slots.chunks(BLOCK) {
+                let lives: Vec<bool> = block
+                    .iter()
+                    .map(|&slot| {
+                        let (it, ip) = tile.scanline_at(slot);
+                        live(tx, VoxelIndex::new(it, ip, id))
+                    })
+                    .collect();
+                if lives.contains(&true) && lives.contains(&false) {
+                    coverage.mixed_blocks += 1;
+                }
+            }
+        }
+    }
+    for interp in [Interpolation::Nearest, Interpolation::Linear] {
+        let bf = Beamformer::new(spec).with_interpolation(interp);
+        let channels = bf.aperture().channels();
+        for i in 0..4 {
+            let oracle = engine(spec, i);
+            // Mark every sample an unmasked pair reads, then poison the
+            // rest.
+            let mut read = vec![false; n_tx * spec.elements.count() * n_samples as usize];
+            let mut mark = |tx: usize, c: u32, idx: i64| {
+                if (0..n_samples).contains(&idx) {
+                    read[(tx * spec.elements.count() + c as usize) * n_samples as usize
+                        + idx as usize] = true;
+                }
+            };
+            for &(_, vox) in &voxels {
+                for tx in (0..n_tx).filter(|&tx| live(tx, vox)) {
+                    for &c in channels {
+                        let e = ElementIndex::new(c as usize % nx, c as usize / nx);
+                        match interp {
+                            Interpolation::Nearest => {
+                                mark(tx, c, oracle.delay_index_for(tx, vox, e));
+                            }
+                            Interpolation::Linear => {
+                                let i0 = oracle.delay_samples_for(tx, vox, e).floor() as i64;
+                                mark(tx, c, i0);
+                                mark(tx, c, i0 + 1);
+                            }
+                        }
+                    }
+                }
+            }
+            let mut poisoned = rf.clone();
+            let mut flags = read.chunks_exact(n_samples as usize);
+            for tx in 0..n_tx {
+                for e in spec.elements.iter() {
+                    let trace_read = flags.next().expect("one flag row per trace");
+                    for (v, &r) in poisoned.trace_for_mut(tx, e).iter_mut().zip(trace_read) {
+                        if !r {
+                            *v = f64::NAN;
+                            coverage.nan_samples += 1;
+                        }
+                    }
+                }
+            }
+            let kernel = engine(spec, i);
+            let mut state = TileState::new(&bf, tile);
+            bf.beamform_tile_into(kernel.as_ref(), &poisoned, &mut state);
+            for &(v, vox) in &voxels {
+                let (a, b) = (
+                    state.values()[v],
+                    bf.beamform_voxel(oracle.as_ref(), &poisoned, vox),
+                );
+                prop_assert!(
+                    a.is_finite() && a.to_bits() == b.to_bits(),
+                    "{} {:?} {} scanlines, voxel {}: {} vs {}",
+                    kernel.name(),
+                    interp,
+                    tile.scanlines(),
+                    vox,
+                    a,
+                    b
+                );
+            }
+        }
+    }
+    let kernel = TableSteerEngine::new(spec, TableSteerConfig::bits18()).expect("builds");
+    let scalar = kernel.clone(); // fresh zeroed counter
+    let bf = Beamformer::new(spec);
+    bf.beamform_tile_into(&kernel, rf, &mut TileState::new(&bf, tile));
+    for &(_, vox) in &voxels {
+        for tx in 0..n_tx {
+            for &c in bf.aperture().channels() {
+                scalar.delay_index_for(
+                    tx,
+                    vox,
+                    ElementIndex::new(c as usize % nx, c as usize / nx),
+                );
+            }
+        }
+    }
+    prop_assert_eq!(kernel.clamp_events(), scalar.clamp_events());
+    Ok(coverage)
+}
+
+#[test]
+fn block_edge_setup_masks_voxels_inside_blocks() {
+    // A fixed case of the block-edge property below that provably
+    // exercises what it is for: blocks holding both masked and unmasked
+    // voxels, and NaN samples that only masked pairs could read.
+    let spec = random_compound_spec(4, 4, 9, 9, 6)
+        .with_transmits(TransmitModel::plane_wave_fan(3, usbf_geometry::deg(6.0)));
+    let rf = rf_for(&spec, VoxelIndex::new(4, 4, 2));
+    for shape in [
+        (1, 1),
+        (BLOCK - 1, 1),
+        (1, BLOCK - 1),
+        (3, 3),
+        (BLOCK + 1, 1),
+    ] {
+        let mut mixed_blocks = 0;
+        for (a, b) in [(1, 4), (4, 1)] {
+            let coverage = check_block_edges(&spec, tile_in(&spec, shape, a, b), &rf)
+                .unwrap_or_else(|e| panic!("{shape:?} at ({a}, {b}): {e}"));
+            assert!(coverage.nan_samples > 0, "{shape:?}: {coverage:?}");
+            mixed_blocks += coverage.mixed_blocks;
+        }
+        if shape != (1, 1) {
+            assert!(
+                mixed_blocks > 0,
+                "{shape:?}: no block mixes masked and live voxels"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn block_kernel_is_bit_identical_at_block_edges(
+        nx in 2usize..5,
+        ny in 2usize..5,
+        n_theta in 9usize..12,
+        n_phi in 7usize..10,
+        n_depth in 3usize..6,
+        target in 0usize..1_000_000,
+        shape_pick in 0usize..5,
+        place_a in 0usize..1000,
+        place_b in 0usize..1000,
+        n_tx in 1usize..4,
+        kinds in 0usize..8,
+        angle_a in 0usize..1000,
+        angle_b in 0usize..1000,
+    ) {
+        // Tiles of 1, BLOCK − 1 and BLOCK + 1 scanlines end in a partial
+        // block; steered plane waves mask some voxels inside blocks.
+        let shape = [(1, 1), (BLOCK - 1, 1), (1, BLOCK - 1), (3, 3), (BLOCK + 1, 1)][shape_pick];
+        let spec = random_compound_spec(nx, ny, n_theta, n_phi, n_depth)
+            .with_transmits(random_transmits(n_tx, kinds, angle_a, angle_b));
+        let vox = spec.volume_grid.voxel_at(target % spec.volume_grid.voxel_count());
+        let rf = rf_for(&spec, vox);
+        check_block_edges(&spec, tile_in(&spec, shape, place_a, place_b), &rf)?;
+    }
 
     #[test]
     fn compound_kernel_clamp_telemetry_matches_scalar_queries_on_random_transmits(

@@ -6,6 +6,15 @@ use usbf_geometry::ElementIndex;
 /// sampled at the system's `fs`. Element traces are stored row-major in
 /// the transducer's linear order (`iy·nx + ix`).
 ///
+/// Consecutive traces start one 64-byte cache line (8 samples) apart
+/// beyond their length: the channel stride is `n_samples +
+/// TRACE_PAD`. A power-of-two trace length would otherwise put sample
+/// `i` of every channel in the same cache set, and a gather that reads
+/// one sample from each of hundreds of channels would evict itself
+/// (a reduced-spec trace is 8192 samples, a 64 KiB stride). The
+/// padding samples stay `0.0` and no accessor exposes them: traces,
+/// samples and gathers see exactly `n_samples` per channel.
+///
 /// A frame may hold the acquisitions of several **transmit events**
 /// (coherent plane-wave compounding fires the full aperture once per
 /// steering angle and keeps every acquisition until the compound sum):
@@ -22,9 +31,13 @@ pub struct RfFrame {
     n_transmits: usize,
     /// Start offset of every channel's trace within one transmit block,
     /// in linear element order — precomputed once so the gather paths
-    /// never re-derive `linear(e) * n_samples` per fetch.
+    /// never re-derive `linear(e) * stride` per fetch.
     bases: Vec<usize>,
 }
+
+/// Zero samples appended to every channel trace: one 64-byte cache line
+/// of `f64`, so the channel stride is never a power of two.
+const TRACE_PAD: usize = 8;
 
 impl RfFrame {
     /// Allocates a zeroed single-transmit frame for an `nx × ny` probe
@@ -49,13 +62,14 @@ impl RfFrame {
             nx > 0 && ny > 0 && n_samples > 0 && n_transmits > 0,
             "dimensions must be nonzero"
         );
+        let stride = n_samples + TRACE_PAD;
         RfFrame {
-            data: vec![0.0; n_transmits * nx * ny * n_samples],
+            data: vec![0.0; n_transmits * nx * ny * stride],
             nx,
             ny,
             n_samples,
             n_transmits,
-            bases: (0..nx * ny).map(|l| l * n_samples).collect(),
+            bases: (0..nx * ny).map(|l| l * stride).collect(),
         }
     }
 
@@ -90,11 +104,18 @@ impl RfFrame {
         self.n_transmits
     }
 
+    /// Distance between the starts of consecutive channel traces, in
+    /// samples: `n_samples + TRACE_PAD`.
+    #[inline]
+    fn stride(&self) -> usize {
+        self.n_samples + TRACE_PAD
+    }
+
     /// Flat-sample offset of transmit block `tx`.
     #[inline]
     fn transmit_base(&self, tx: usize) -> usize {
         debug_assert!(tx < self.n_transmits, "transmit {tx} out of range");
-        tx * self.nx * self.ny * self.n_samples
+        tx * self.nx * self.ny * self.stride()
     }
 
     #[inline]
@@ -115,13 +136,13 @@ impl RfFrame {
 
     /// One element's trace of transmit event `tx`.
     pub fn trace_for(&self, tx: usize, e: ElementIndex) -> &[f64] {
-        let start = self.transmit_base(tx) + self.linear(e) * self.n_samples;
+        let start = self.transmit_base(tx) + self.bases[self.linear(e)];
         &self.data[start..start + self.n_samples]
     }
 
     /// Mutable trace access for transmit event `tx`.
     pub fn trace_for_mut(&mut self, tx: usize, e: ElementIndex) -> &mut [f64] {
-        let start = self.transmit_base(tx) + self.linear(e) * self.n_samples;
+        let start = self.transmit_base(tx) + self.bases[self.linear(e)];
         &mut self.data[start..start + self.n_samples]
     }
 
@@ -140,8 +161,7 @@ impl RfFrame {
         if idx < 0 || idx >= self.n_samples as i64 {
             return 0.0;
         }
-        let l = self.linear(e);
-        self.data[self.transmit_base(tx) + l * self.n_samples + idx as usize]
+        self.data[self.transmit_base(tx) + self.bases[self.linear(e)] + idx as usize]
     }
 
     /// Linearly interpolated fractional-sample read of transmit 0
@@ -161,7 +181,8 @@ impl RfFrame {
 
     /// Start offset of every channel's trace in the flat sample buffer,
     /// in linear element order (`iy·nx + ix`) — precomputed at
-    /// construction for the gather paths.
+    /// construction for the gather paths. Consecutive bases are
+    /// `n_samples + TRACE_PAD` apart.
     #[inline]
     pub fn channel_bases(&self) -> &[usize] {
         &self.bases
@@ -320,10 +341,98 @@ impl RfFrame {
         v0 * (1.0 - frac) + v1 * frac
     }
 
+    /// Block gather + multiply-accumulate over transmit block `tx`, with
+    /// nearest-index fetch: for each of the `B` block voxels `j`,
+    /// `acc[j] += weights[k] · sample(channels[k], indices[j·a + k])`
+    /// over the aperture positions `k` in ascending order, where `a =
+    /// channels.len()` and `indices` holds one quantized index row per
+    /// block voxel. Out-of-window indices read as `0.0`, as in
+    /// [`gather_nearest_into_for`](Self::gather_nearest_into_for).
+    ///
+    /// The loop is channel-major: the block's reads of one channel land
+    /// on the same one or two cache lines, and the `B` accumulators are
+    /// independent chains held in registers. Each voxel still adds its
+    /// channels in ascending order into its own accumulator, so `acc[j]`
+    /// is bit-identical to a sequential `Σ_k w[k] · s[k]` over the
+    /// gathered row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` and `channels` differ in length, if `indices`
+    /// does not hold one row per accumulator, or a channel is out of
+    /// range.
+    pub fn gather_mac_nearest_block_for<const B: usize>(
+        &self,
+        tx: usize,
+        channels: &[u32],
+        weights: &[f64],
+        indices: &[i32],
+        acc: &mut [f64; B],
+    ) {
+        let a = channels.len();
+        assert_eq!(weights.len(), a, "one weight per channel");
+        assert_eq!(indices.len(), B * a, "one index row per voxel");
+        let rows: [&[i32]; B] = std::array::from_fn(|j| &indices[j * a..(j + 1) * a]);
+        let n = self.n_samples;
+        let base = self.transmit_base(tx);
+        let mut sums = *acc;
+        for (k, (&c, &w)) in channels.iter().zip(weights).enumerate() {
+            let start = base + self.bases[c as usize];
+            let trace = &self.data[start..start + n];
+            for (s, row) in sums.iter_mut().zip(&rows) {
+                let i = row[k];
+                // Negative indices wrap past `n` under the unsigned
+                // compare; the masked read hits the trace head.
+                let inside = (i as usize) < n;
+                let v = trace[if inside { i as usize } else { 0 }];
+                *s += w * if inside { v } else { 0.0 };
+            }
+        }
+        *acc = sums;
+    }
+
+    /// [`gather_mac_nearest_block_for`](Self::gather_mac_nearest_block_for)
+    /// with a linearly interpolated fetch: `delays` holds one row of
+    /// fractional delays per block voxel, read exactly as
+    /// [`gather_linear_into_for`](Self::gather_linear_into_for) reads
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` and `channels` differ in length, if `delays`
+    /// does not hold one row per accumulator, or a channel is out of
+    /// range.
+    pub fn gather_mac_linear_block_for<const B: usize>(
+        &self,
+        tx: usize,
+        channels: &[u32],
+        weights: &[f64],
+        delays: &[f64],
+        acc: &mut [f64; B],
+    ) {
+        let a = channels.len();
+        assert_eq!(weights.len(), a, "one weight per channel");
+        assert_eq!(delays.len(), B * a, "one delay row per voxel");
+        let rows: [&[f64]; B] = std::array::from_fn(|j| &delays[j * a..(j + 1) * a]);
+        let n = self.n_samples as u64;
+        let tx_base = self.transmit_base(tx);
+        let mut sums = *acc;
+        for (k, (&c, &w)) in channels.iter().zip(weights).enumerate() {
+            for (s, row) in sums.iter_mut().zip(&rows) {
+                *s += w * self.fetch_linear(tx_base, c, row[k], n);
+            }
+        }
+        *acc = sums;
+    }
+
     /// Sets every sample of every trace to `value` (no reallocation) —
-    /// how warm frame buffers are cleared between acquisitions.
+    /// how warm frame buffers are cleared between acquisitions. The
+    /// padding between traces stays zero.
     pub fn fill(&mut self, value: f64) {
-        self.data.fill(value);
+        let (n, stride) = (self.n_samples, self.stride());
+        for trace in self.data.chunks_exact_mut(stride) {
+            trace[..n].fill(value);
+        }
     }
 
     /// Copies another frame's samples into this one, reusing this
@@ -352,12 +461,12 @@ impl RfFrame {
         self.data.copy_from_slice(&src.data);
     }
 
-    /// Largest |sample| in the frame.
+    /// Largest |sample| in the frame (the zero padding cannot raise it).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
     }
 
-    /// Total energy (sum of squares).
+    /// Total energy (sum of squares; the zero padding adds exact zeros).
     pub fn energy(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum()
     }
@@ -397,8 +506,172 @@ mod tests {
 
     #[test]
     fn channel_bases_cover_every_trace() {
+        // Stride = 10 samples + one cache line of padding.
         let rf = RfFrame::zeros(3, 2, 10);
-        assert_eq!(rf.channel_bases(), &[0, 10, 20, 30, 40, 50]);
+        assert_eq!(rf.channel_bases(), &[0, 18, 36, 54, 72, 90]);
+    }
+
+    /// Every padding sample of the frame, in buffer order.
+    fn padding(rf: &RfFrame) -> Vec<f64> {
+        let n = rf.n_samples();
+        rf.data
+            .chunks_exact(n + TRACE_PAD)
+            .flat_map(|trace| trace[n..].iter().copied())
+            .collect()
+    }
+
+    /// A frame whose every trace sample is nonzero and distinct, with the
+    /// padding left untouched.
+    fn ramp_frame(nx: usize, ny: usize, n: usize, n_tx: usize) -> RfFrame {
+        let mut rf = RfFrame::zeros_multi(nx, ny, n, n_tx);
+        for tx in 0..n_tx {
+            for l in 0..nx * ny {
+                let e = ElementIndex::new(l % nx, l / nx);
+                for (i, v) in rf.trace_for_mut(tx, e).iter_mut().enumerate() {
+                    *v = 1.0 + (tx * 1000 + l * n + i) as f64;
+                }
+            }
+        }
+        rf
+    }
+
+    #[test]
+    fn traces_never_show_the_padding() {
+        let rf = ramp_frame(3, 2, 10, 2);
+        assert_eq!(padding(&rf).len(), 2 * 6 * TRACE_PAD);
+        assert!(padding(&rf).iter().all(|&v| v == 0.0));
+        for tx in 0..2 {
+            for l in 0..6 {
+                let e = ElementIndex::new(l % 3, l / 3);
+                let trace = rf.trace_for(tx, e);
+                assert_eq!(trace.len(), 10);
+                assert!(trace.iter().all(|&v| v != 0.0), "tx {tx} element {e}");
+                assert_eq!(trace[9], 1.0 + (tx * 1000 + l * 10 + 9) as f64);
+            }
+        }
+        let e = ElementIndex::new(2, 1);
+        assert_eq!(rf.trace(e), rf.trace_for(0, e));
+    }
+
+    #[test]
+    fn fill_writes_traces_only() {
+        let mut rf = RfFrame::zeros_multi(3, 2, 10, 2);
+        rf.fill(-3.0);
+        assert!(padding(&rf).iter().all(|&v| v == 0.0));
+        assert_eq!(rf.max_abs(), 3.0);
+        assert_eq!(rf.energy(), 9.0 * (2 * 6 * 10) as f64);
+        rf.fill(0.5);
+        assert_eq!(rf.max_abs(), 0.5);
+        assert_eq!(rf.energy(), 0.25 * (2 * 6 * 10) as f64);
+    }
+
+    #[test]
+    fn equality_and_copy_see_traces_only() {
+        let src = ramp_frame(3, 2, 10, 2);
+        assert_eq!(src, ramp_frame(3, 2, 10, 2));
+        let mut dst = RfFrame::zeros_multi(3, 2, 10, 2);
+        dst.fill(7.0);
+        assert_ne!(dst, src);
+        dst.copy_from(&src);
+        assert_eq!(dst, src);
+        assert!(padding(&dst).iter().all(|&v| v == 0.0));
+        assert_eq!(dst.energy(), src.energy());
+    }
+
+    #[test]
+    fn edge_reads_never_reach_the_padding() {
+        // Poison the padding: any read that strays past a trace end (or
+        // before a trace start, into the previous trace's padding) shows
+        // up as NaN.
+        let (nx, n) = (3, 10);
+        let mut rf = ramp_frame(nx, 2, n, 2);
+        let stride = n + TRACE_PAD;
+        for trace in rf.data.chunks_exact_mut(stride) {
+            trace[n..].fill(f64::NAN);
+        }
+        let channels: Vec<u32> = (0..6).collect();
+        let ones = [1.0; 6];
+        for tx in 0..2 {
+            for idx in [-1i32, n as i32 - 1, n as i32] {
+                let indices = [idx; 6];
+                let mut out = [f64::NAN; 6];
+                rf.gather_nearest_into_for(tx, &channels, &indices, &mut out);
+                let mut acc = [0.0];
+                rf.gather_mac_nearest_block_for(tx, &channels, &ones, &indices, &mut acc);
+                for (l, &o) in out.iter().enumerate() {
+                    let e = ElementIndex::new(l % nx, l / nx);
+                    let want = if idx == n as i32 - 1 {
+                        rf.trace_for(tx, e)[n - 1]
+                    } else {
+                        0.0
+                    };
+                    assert_eq!(o, want, "tx {tx} channel {l} index {idx}");
+                    assert_eq!(rf.sample_for(tx, e, i64::from(idx)), want);
+                }
+                assert_eq!(acc[0], out.iter().sum::<f64>(), "tx {tx} index {idx}");
+            }
+            // Linear reads straddling both window edges.
+            for t in [-1.0, -0.5, n as f64 - 1.0, n as f64 - 0.5, n as f64] {
+                let delays = [t; 6];
+                let mut out = [f64::NAN; 6];
+                rf.gather_linear_into_for(tx, &channels, &delays, &mut out);
+                let mut acc = [0.0];
+                rf.gather_mac_linear_block_for(tx, &channels, &ones, &delays, &mut acc);
+                for (l, &o) in out.iter().enumerate() {
+                    let e = ElementIndex::new(l % nx, l / nx);
+                    assert!(o.is_finite(), "tx {tx} channel {l} delay {t}");
+                    assert_eq!(o.to_bits(), rf.sample_interp_for(tx, e, t).to_bits());
+                }
+                assert_eq!(acc[0], out.iter().sum::<f64>(), "tx {tx} delay {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn block_mac_matches_a_sequential_sum_over_the_gathered_row() {
+        let rf = ramp_frame(4, 3, 16, 2);
+        let channels = [0u32, 2, 3, 5, 7, 8, 11];
+        let weights = [0.5, -1.25, 2.0, 0.75, 1e-3, 3.5, -0.125];
+        let a = channels.len();
+        let indices: Vec<i32> = (0..8 * a).map(|i| (i as i32 * 7) % 19 - 2).collect();
+        let delays: Vec<f64> = indices.iter().map(|&i| f64::from(i) * 0.93).collect();
+        let sequential = |row: &[f64]| -> f64 {
+            let mut acc = 0.0;
+            for (&w, &s) in weights.iter().zip(row) {
+                acc += w * s;
+            }
+            acc
+        };
+        fn check<const B: usize>(
+            rf: &RfFrame,
+            channels: &[u32],
+            weights: &[f64],
+            indices: &[i32],
+            delays: &[f64],
+            sequential: &dyn Fn(&[f64]) -> f64,
+        ) {
+            let a = channels.len();
+            let (mut near, mut lin) = ([0.0; B], [0.0; B]);
+            rf.gather_mac_nearest_block_for(1, channels, weights, &indices[..B * a], &mut near);
+            rf.gather_mac_linear_block_for(1, channels, weights, &delays[..B * a], &mut lin);
+            let mut row = vec![0.0; a];
+            for j in 0..B {
+                rf.gather_nearest_into_for(1, channels, &indices[j * a..][..a], &mut row);
+                assert_eq!(near[j].to_bits(), sequential(&row).to_bits(), "B={B} j={j}");
+                rf.gather_linear_into_for(1, channels, &delays[j * a..][..a], &mut row);
+                assert_eq!(lin[j].to_bits(), sequential(&row).to_bits(), "B={B} j={j}");
+            }
+        }
+        check::<1>(&rf, &channels, &weights, &indices, &delays, &sequential);
+        check::<3>(&rf, &channels, &weights, &indices, &delays, &sequential);
+        check::<8>(&rf, &channels, &weights, &indices, &delays, &sequential);
+    }
+
+    #[test]
+    #[should_panic(expected = "one index row per voxel")]
+    fn block_mac_rejects_a_short_index_block() {
+        let rf = RfFrame::zeros(2, 2, 4);
+        rf.gather_mac_nearest_block_for(0, &[0, 1], &[1.0, 1.0], &[0, 0, 0], &mut [0.0; 2]);
     }
 
     #[test]

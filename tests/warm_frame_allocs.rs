@@ -20,8 +20,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use usbf::beamform::{
-    Beamformer, BmodeConfig, FramePipeline, FrameRing, PostChain, ProjectionAxis, ShardConfig,
-    ShardedRuntime, SlicePlane, VolumeLoop,
+    Beamformer, BmodeConfig, FramePipeline, FrameRing, Interpolation, PostChain, ProjectionAxis,
+    ShardConfig, ShardedRuntime, SlicePlane, VolumeLoop,
 };
 use usbf::core::{
     DelayEngine, ExactEngine, NappeSchedule, TableFreeConfig, TableFreeEngine, TableSteerConfig,
@@ -260,6 +260,75 @@ fn warm_frames_do_no_per_tile_allocation() {
         cpwc_schedule.tiles().len()
     );
     drop(pipe);
+
+    // --- Compound frames on tiles that end in a partial gather/MAC
+    // block: a 9 × 9 fan in 3 × 3 tiles gives 9 scanlines per tile, one
+    // more than the kernel's 8-voxel block, so every nappe runs a full
+    // block plus a one-voxel remainder, and steered masks leave blocks
+    // partly live. The block scratch is sized once in `TileState::new`,
+    // so TABLESTEER's nearest path (masked pairs still quantized) and
+    // the linear path (delay rows staged per block) measure 0 too. ---
+    let edge_spec = SystemSpec::new(
+        cpwc_spec.speed_of_sound,
+        cpwc_spec.sampling_frequency,
+        cpwc_spec.transducer.clone(),
+        VolumeSpec {
+            n_theta: 9,
+            n_phi: 9,
+            ..cpwc_spec.volume.clone()
+        },
+        cpwc_spec.origin,
+        cpwc_spec.frame_rate,
+    )
+    .with_transmits(TransmitModel::plane_wave_fan(4, deg(10.0)));
+    let edge_rf = EchoSynthesizer::new(&edge_spec).synthesize(
+        &Phantom::point(edge_spec.volume_grid.position(VoxelIndex::new(4, 4, 10))),
+        &Pulse::from_spec(&edge_spec),
+    );
+    let edge_schedule = NappeSchedule::fitted(&edge_spec, 9);
+    assert!(
+        edge_schedule.tiles().iter().all(|t| t.scanlines() % 8 != 0),
+        "every tile must end in a partial block: {:?}",
+        edge_schedule.tiles()
+    );
+    let edge_runs: [(Arc<dyn DelayEngine + Send + Sync>, Interpolation); 2] = [
+        (
+            Arc::new(
+                TableSteerEngine::new(&edge_spec, TableSteerConfig::bits18()).expect("builds"),
+            ),
+            Interpolation::Nearest,
+        ),
+        (
+            Arc::new(ExactEngine::new(&edge_spec)),
+            Interpolation::Linear,
+        ),
+    ];
+    for (eng, interp) in edge_runs {
+        let name = eng.name();
+        let mut pipe = FramePipeline::with_pool(
+            Beamformer::new(&edge_spec).with_interpolation(interp),
+            eng,
+            FrameRing::new(vec![edge_rf.clone()]),
+            Arc::clone(&pool),
+            &edge_schedule,
+        );
+        for _ in 0..5 {
+            pipe.next_volume().expect("warm-up block-edge frame");
+        }
+        let before = ALLOCS.load(Ordering::SeqCst);
+        for _ in 0..FRAMES {
+            pipe.next_volume().expect("warm block-edge frame");
+        }
+        let edge_allocs = ALLOCS.load(Ordering::SeqCst) - before;
+        eprintln!("EDGE_{name}_{interp:?}_ALLOCS={edge_allocs}");
+        assert_eq!(
+            edge_allocs,
+            0,
+            "warm {name} {interp:?} compound frames on {}-scanline tiles must \
+             not allocate ({FRAMES} frames)",
+            edge_schedule.tiles()[0].scanlines()
+        );
+    }
 
     // --- ShardedRuntime (3 shards multiplexed on the same pool) ---
     let shard = |fill: f64| {
