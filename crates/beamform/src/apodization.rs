@@ -1,5 +1,6 @@
 //! Aperture apodization windows — the `w(S)` weights of Eq. 1.
 
+use std::ops::Range;
 use usbf_geometry::{ElementIndex, TransducerArray};
 
 /// A separable aperture window: the element weight is
@@ -72,10 +73,16 @@ impl Apodization {
 /// elements themselves from the inner kernel — the kernel iterates the
 /// active lists directly, with no `j % nx` / `j / nx` recovery of the
 /// element coordinates.
+///
+/// The active channels also come as maximal runs of consecutive
+/// channels, so compacting a row is one slice copy per run (a Hann
+/// window on 32×32 elements is 30 runs of 30) instead of one indexed
+/// load per channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActiveAperture {
     channels: Vec<u32>,
     weights: Vec<f64>,
+    runs: Vec<Range<usize>>,
     n_elements: usize,
 }
 
@@ -86,15 +93,21 @@ impl ActiveAperture {
     pub fn build(apodization: Apodization, array: &TransducerArray) -> Self {
         let mut channels = Vec::new();
         let mut weights = Vec::new();
+        let mut runs: Vec<Range<usize>> = Vec::new();
         for (j, w) in apodization.weights(array).into_iter().enumerate() {
             if w != 0.0 {
                 channels.push(j as u32);
                 weights.push(w);
+                match runs.last_mut() {
+                    Some(run) if run.end == j => run.end = j + 1,
+                    _ => runs.push(j..j + 1),
+                }
             }
         }
         ActiveAperture {
             channels,
             weights,
+            runs,
             n_elements: array.count(),
         }
     }
@@ -110,6 +123,14 @@ impl ActiveAperture {
     #[inline]
     pub fn weights(&self) -> &[f64] {
         &self.weights
+    }
+
+    /// The active channels as maximal runs of consecutive flat channel
+    /// indices, ascending: concatenated, the runs are exactly
+    /// [`channels`](Self::channels).
+    #[inline]
+    pub(crate) fn runs(&self) -> &[Range<usize>] {
+        &self.runs
     }
 
     /// Number of active elements.
@@ -244,6 +265,39 @@ mod tests {
         assert_eq!(hann.len(), 49);
         assert!(!hann.is_full() && !hann.is_empty());
         assert!(ActiveAperture::build(Apodization::Rect, &a).is_full());
+    }
+
+    #[test]
+    fn runs_cover_exactly_the_active_channels() {
+        for (nx, ny) in [(1, 1), (1, 8), (7, 3), (32, 32)] {
+            let a = TransducerArray::new(nx, ny, 0.2e-3);
+            for apod in [
+                Apodization::Rect,
+                Apodization::Hann,
+                Apodization::Hamming,
+                Apodization::Tukey(0.0),
+                Apodization::Tukey(0.5),
+                Apodization::Tukey(1.0),
+            ] {
+                let active = ActiveAperture::build(apod, &a);
+                let runs = active.runs();
+                let flat: Vec<u32> = runs
+                    .iter()
+                    .flat_map(|r| r.clone())
+                    .map(|c| c as u32)
+                    .collect();
+                assert_eq!(flat, active.channels(), "{apod:?} on {nx}x{ny}");
+                // Non-empty, ascending and maximal: a gap separates runs.
+                assert!(runs.iter().all(|r| !r.is_empty()));
+                assert!(runs.windows(2).all(|p| p[0].end < p[1].start));
+                let whole = runs.len() == 1 && runs[0] == (0..a.count());
+                assert_eq!(active.is_full(), whole);
+            }
+        }
+        // Hann on 32×32 zeroes the border rows and columns: 30 runs of 30.
+        let hann = ActiveAperture::build(Apodization::Hann, &TransducerArray::new(32, 32, 0.2e-3));
+        assert_eq!(hann.runs().len(), 30);
+        assert!(hann.runs().iter().all(|r| r.len() == 30));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::postproc::{PostChain, PostScratch};
 use crate::{ActiveAperture, Apodization, BeamformedVolume};
+use std::ops::Range;
 use usbf_core::{DelayEngine, NappeDelays, NappeSchedule, Tile};
 use usbf_geometry::scan::ScanOrder;
 use usbf_geometry::{ElementIndex, SystemSpec, VoxelIndex};
@@ -188,12 +189,16 @@ fn block_mac<const NEAREST: bool, const W: usize>(
     first
 }
 
-/// Compacts one slab row down to the active aperture: `out[k] =
-/// row[channels[k]]`. Skipped entirely when the aperture is full.
+/// Compacts one slab row down to the active aperture, one slice copy per
+/// run of consecutive active channels: `out[k] = row[channels[k]]`.
+/// Skipped entirely when the aperture is full.
 #[inline]
-fn compact_row(row: &[f64], channels: &[u32], out: &mut [f64]) {
-    for (o, &c) in out.iter_mut().zip(channels) {
-        *o = row[c as usize];
+fn compact_row(row: &[f64], runs: &[Range<usize>], out: &mut [f64]) {
+    let mut k = 0;
+    for run in runs {
+        let next = k + run.len();
+        out[k..next].copy_from_slice(&row[run.clone()]);
+        k = next;
     }
 }
 
@@ -580,8 +585,8 @@ impl Beamformer {
         let n_depth = self.spec.volume_grid.n_depth();
         let n_values = values.len();
         let ap = &self.aperture;
-        let channels = ap.channels();
-        let active = channels.len();
+        let runs = ap.runs();
+        let active = ap.len();
         let full = ap.is_full();
         let skip_masked = !(NEAREST && engine.rounding_telemetry());
         values.fill(0.0);
@@ -611,7 +616,7 @@ impl Beamformer {
                             let active_delays = if full {
                                 &*tx_row
                             } else {
-                                compact_row(tx_row, channels, &mut delays[..active]);
+                                compact_row(tx_row, runs, &mut delays[..active]);
                                 &delays[..active]
                             };
                             engine.quantize_row(active_delays, &mut indices[row]);
@@ -619,7 +624,7 @@ impl Beamformer {
                             engine.combine_tx_row(tx, vox, rx_row, &mut delays[row]);
                         } else {
                             engine.combine_tx_row(tx, vox, rx_row, tx_row);
-                            compact_row(tx_row, channels, &mut delays[row]);
+                            compact_row(tx_row, runs, &mut delays[row]);
                         }
                         if m != 0.0 {
                             live[n_live] = (v, m);
@@ -961,5 +966,25 @@ mod tests {
         let engine = ExactEngine::new(&spec);
         let vol = Beamformer::new(&spec).beamform_volume(&engine, &rf);
         assert_eq!(vol.max_abs(), 0.0);
+    }
+
+    #[test]
+    fn run_compaction_equals_per_channel_compaction() {
+        for (nx, ny) in [(1, 1), (1, 8), (7, 3), (32, 32)] {
+            let array = usbf_geometry::TransducerArray::new(nx, ny, 0.2e-3);
+            let row: Vec<f64> = (0..array.count()).map(|j| j as f64 * 1.5 - 7.0).collect();
+            for apod in [
+                Apodization::Rect,
+                Apodization::Hann,
+                Apodization::Hamming,
+                Apodization::Tukey(0.5),
+            ] {
+                let ap = ActiveAperture::build(apod, &array);
+                let want: Vec<f64> = ap.channels().iter().map(|&c| row[c as usize]).collect();
+                let mut got = vec![f64::NAN; ap.len()];
+                compact_row(&row, ap.runs(), &mut got);
+                assert_eq!(got, want, "{apod:?} on {nx}x{ny}");
+            }
+        }
     }
 }

@@ -319,8 +319,8 @@ proptest! {
 
     #[test]
     fn compound_kernel_clamp_telemetry_matches_scalar_queries_on_random_transmits(
-        nx in 2usize..6,
-        ny in 2usize..6,
+        nx in 1usize..6,
+        ny in 1usize..6,
         n_theta in 2usize..6,
         n_phi in 2usize..6,
         n_depth in 4usize..10,
@@ -422,8 +422,8 @@ proptest! {
 
     #[test]
     fn vectorized_kernel_bit_identical_to_scalar_reference_on_random_specs(
-        nx in 2usize..6,
-        ny in 2usize..6,
+        nx in 1usize..6,
+        ny in 1usize..6,
         n_theta in 2usize..6,
         n_phi in 2usize..6,
         n_depth in 4usize..10,
@@ -474,8 +474,8 @@ proptest! {
 
     #[test]
     fn compound_kernel_bit_identical_to_scalar_reference_on_random_transmits(
-        nx in 2usize..6,
-        ny in 2usize..6,
+        nx in 1usize..6,
+        ny in 1usize..6,
         n_theta in 2usize..6,
         n_phi in 2usize..6,
         n_depth in 4usize..10,
@@ -523,8 +523,8 @@ proptest! {
 
     #[test]
     fn fused_bmode_chain_bit_identical_to_scalar_reference_on_random_specs(
-        nx in 2usize..6,
-        ny in 2usize..6,
+        nx in 1usize..6,
+        ny in 1usize..6,
         n_theta in 2usize..6,
         n_phi in 2usize..6,
         n_depth in 4usize..10,

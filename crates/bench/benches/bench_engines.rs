@@ -6,6 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
+use usbf_beamform::{ActiveAperture, Apodization};
 use usbf_core::{
     DelayEngine, ExactEngine, NaiveTableEngine, NappeDelays, TableFreeConfig, TableFreeEngine,
     TableSteerConfig, TableSteerEngine,
@@ -89,6 +90,31 @@ fn bench_engines(c: &mut Criterion) {
                     slab.fill_scalar(eng, black_box(id));
                 }
                 slab.samples()[0]
+            })
+        });
+    }
+    g.finish();
+
+    // Batched final rounding of one hot row: a mid-depth delay row of the
+    // middle scanline, compacted to the 900 channels of the default Hann
+    // aperture — the row the tile kernel quantizes per (voxel, transmit).
+    let aperture = ActiveAperture::build(Apodization::Hann, &spec.elements);
+    let mut g = c.benchmark_group("quantize_row");
+    g.throughput(Throughput::Elements(aperture.len() as u64));
+    for (name, eng) in batched {
+        let mut slab = NappeDelays::full(&spec);
+        eng.fill_nappe(spec.volume_grid.n_depth() / 2, &mut slab);
+        let full = slab.row(slab.scanline_count() / 2);
+        let row: Vec<f64> = aperture
+            .channels()
+            .iter()
+            .map(|&c| full[c as usize])
+            .collect();
+        let mut out = vec![0i32; row.len()];
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                eng.quantize_row(black_box(&row), &mut out);
+                out[0]
             })
         });
     }

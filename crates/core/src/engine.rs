@@ -226,45 +226,63 @@ pub trait DelayEngine: Sync {
     /// Panics if `row` and `out` differ in length.
     fn quantize_row(&self, row: &[f64], out: &mut [i32]) {
         assert_eq!(row.len(), out.len(), "index row must match delay row");
-        assert!(
-            self.echo_buffer_len() as u64 <= i32::MAX as u64,
-            "echo buffer too long for i32 indices"
-        );
+        assert_index_window(self.echo_buffer_len());
         for (o, &s) in out.iter_mut().zip(row) {
             *o = self.delay_index_from(s) as i32;
         }
     }
 }
 
-/// The shared branch-lean body of the specialized [`DelayEngine::quantize_row`]
+/// Panics unless `echo_len` is a window [`DelayEngine::quantize_row`]
+/// can index: at least one sample (the clamp needs a last index) and no
+/// more than `i32::MAX` (the index type).
+#[inline]
+fn assert_index_window(echo_len: usize) {
+    assert!(
+        (1..=i32::MAX as usize).contains(&echo_len),
+        "echo buffer length {echo_len} outside 1..=i32::MAX: no i32 index window"
+    );
+}
+
+/// The shared body of the specialized [`DelayEngine::quantize_row`]
 /// overrides: `floor(x + ½)` rounding clamped to `[0, echo_len)`, exactly
 /// the default `delay_index_from` arithmetic, plus a clamp count for
 /// engines that keep rounding telemetry. One definition so the engines
 /// cannot drift from each other (or from the scalar rounding stage).
+///
+/// The loop is a vector loop: every step is an IEEE operation with a
+/// packed form (`max`/`min`, an add, and `trunc`, which is `vroundpd` on
+/// the x86-64-v3 target `.cargo/config.toml` selects) or a bit move. It
+/// is bit-identical to `floor(x + ½).clamp(0, hi)`:
+///
+/// * clamping in float space first leaves a value in `[0, hi]`, where
+///   truncation *is* floor, and `max` maps NaN to 0 like the saturating
+///   int cast of the scalar stage does;
+/// * a whole number `k < 2³¹` plus 2⁵² is exact and leaves `k` in the
+///   low mantissa bits, so reading those bits converts without the
+///   saturating `f64 as i32` cast (which has no packed form and kept
+///   the loop scalar);
+/// * a fetch is out of window exactly when `x + ½ < 0` (floor < 0) or
+///   `x + ½ ≥ echo_len` (floor > hi), the clamp-telemetry condition.
+///
+/// # Panics
+///
+/// Panics if the rows differ in length, or if `echo_len` is 0 or above
+/// `i32::MAX`.
 #[inline]
 pub(crate) fn quantize_row_clamped(echo_len: usize, row: &[f64], out: &mut [i32]) -> u64 {
+    /// 2⁵²: the unit of the last mantissa bit is 1 from here to 2⁵³.
+    const INT_BIAS: f64 = 4_503_599_627_370_496.0;
     assert_eq!(row.len(), out.len(), "index row must match delay row");
-    assert!(
-        echo_len as u64 <= i32::MAX as u64,
-        "echo buffer too long for i32 indices"
-    );
+    assert_index_window(echo_len);
     let hi = (echo_len - 1) as f64;
     let lim = echo_len as f64;
     let mut clamps = 0u64;
     for (o, &s) in out.iter_mut().zip(row) {
-        // Clamp in float space, then truncate. This avoids both `floor`
-        // (a libm call on baseline x86-64 — no `roundpd` below SSE4.1)
-        // and the f64→i64 conversion (no packed form below AVX-512), so
-        // the loop autovectorizes. It is bit-identical to the default
-        // `floor(x+½).clamp(0, hi)` path: after the clamp every value is
-        // non-negative, where truncation *is* floor; `max` maps NaN to 0
-        // like the saturating int cast does; and a fetch is out of
-        // window exactly when `x+½ < 0` (floor < 0) or `x+½ ≥ echo_len`
-        // (floor > hi), which is the clamp-telemetry condition below.
         let y = s + 0.5;
         let z = y.max(0.0).min(hi);
         clamps += u64::from((y < 0.0) | (y >= lim));
-        *o = z as i32;
+        *o = (z.trunc() + INT_BIAS).to_bits() as i32;
     }
     clamps
 }
@@ -328,10 +346,10 @@ impl From<usbf_pwl::PwlError> for EngineError {
 mod tests {
     use super::*;
 
-    /// A constant-delay engine: its receive rows carry nothing (the rx
-    /// fill only stamps the slab and streams the rows), and its combine
-    /// writes the constant.
-    struct ConstEngine(f64);
+    /// A constant-delay engine over an echo buffer of the given length:
+    /// its receive rows carry nothing (the rx fill only stamps the slab
+    /// and streams the rows), and its combine writes the constant.
+    struct ConstEngine(f64, usize);
     impl DelayEngine for ConstEngine {
         fn name(&self) -> &'static str {
             "CONST"
@@ -340,7 +358,7 @@ mod tests {
             self.0
         }
         fn echo_buffer_len(&self) -> usize {
-            100
+            self.1
         }
         fn fill_nappe_rx_streamed(
             &self,
@@ -364,21 +382,21 @@ mod tests {
     fn default_index_rounds_half_up() {
         let v = VoxelIndex::new(0, 0, 0);
         let e = ElementIndex::new(0, 0);
-        assert_eq!(ConstEngine(10.49).delay_index(v, e), 10);
-        assert_eq!(ConstEngine(10.5).delay_index(v, e), 11);
+        assert_eq!(ConstEngine(10.49, 100).delay_index(v, e), 10);
+        assert_eq!(ConstEngine(10.5, 100).delay_index(v, e), 11);
     }
 
     #[test]
     fn default_index_clamps_to_buffer() {
         let v = VoxelIndex::new(0, 0, 0);
         let e = ElementIndex::new(0, 0);
-        assert_eq!(ConstEngine(1e9).delay_index(v, e), 99);
-        assert_eq!(ConstEngine(-5.0).delay_index(v, e), 0);
+        assert_eq!(ConstEngine(1e9, 100).delay_index(v, e), 99);
+        assert_eq!(ConstEngine(-5.0, 100).delay_index(v, e), 0);
     }
 
     #[test]
     fn default_quantize_row_matches_per_element_rounding() {
-        let eng = ConstEngine(0.0);
+        let eng = ConstEngine(0.0, 100);
         let row = [10.49, 10.5, -3.0, 1e9, 98.7, 0.0];
         let mut out = [0i32; 6];
         eng.quantize_row(&row, &mut out);
@@ -400,13 +418,80 @@ mod tests {
     #[test]
     #[should_panic(expected = "index row must match delay row")]
     fn quantize_row_rejects_length_mismatch() {
-        ConstEngine(0.0).quantize_row(&[1.0, 2.0], &mut [0i32; 3]);
+        ConstEngine(0.0, 100).quantize_row(&[1.0, 2.0], &mut [0i32; 3]);
+    }
+
+    /// The scalar rounding rule every quantize path must reproduce:
+    /// `floor(x + ½)` through the saturating cast, clamped to the
+    /// window, and whether the clamp moved it.
+    fn scalar_index(echo_len: usize, x: f64) -> (i32, bool) {
+        let idx = (x + 0.5).floor() as i64;
+        let clamped = idx.clamp(0, echo_len as i64 - 1);
+        (clamped as i32, clamped != idx)
+    }
+
+    #[test]
+    fn quantize_row_clamped_matches_scalar_rounding_on_edge_values() {
+        // 19 entries: one vector body plus a scalar tail at every vector
+        // width, and rotating the row lands each edge value in both.
+        for echo_len in [8192, i32::MAX as usize] {
+            let hi = (echo_len - 1) as f64;
+            let row: [f64; 19] = [
+                0.5,
+                -0.5,
+                hi + 0.49,
+                hi - 0.49,
+                -0.0,
+                f64::MIN_POSITIVE / 4.0, // subnormal
+                2f64.powi(31),
+                2f64.powi(53) + 1.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                hi + 0.5,
+                hi - 0.5,
+                1.5,
+                2.5,
+                -0.51,
+                0.49,
+                -1e300,
+                1234.5678,
+            ];
+            for shift in 0..row.len() {
+                let mut rotated = row;
+                rotated.rotate_left(shift);
+                let mut out = [-1i32; 19];
+                let clamps = quantize_row_clamped(echo_len, &rotated, &mut out);
+                let mut want_clamps = 0;
+                for (k, (&x, &o)) in rotated.iter().zip(&out).enumerate() {
+                    let (want, clamped) = scalar_index(echo_len, x);
+                    assert_eq!(
+                        o, want,
+                        "echo_len {echo_len} shift {shift} slot {k}: x = {x}"
+                    );
+                    want_clamps += u64::from(clamped);
+                }
+                assert_eq!(clamps, want_clamps, "echo_len {echo_len} shift {shift}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=i32::MAX")]
+    fn quantize_row_clamped_rejects_an_empty_echo_buffer() {
+        quantize_row_clamped(0, &[1.0], &mut [0i32; 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=i32::MAX")]
+    fn default_quantize_row_rejects_an_empty_echo_buffer() {
+        ConstEngine(0.0, 0).quantize_row(&[1.0], &mut [0i32; 1]);
     }
 
     #[test]
     fn streamed_fill_delivers_every_row_once_in_order() {
         let spec = usbf_geometry::SystemSpec::tiny();
-        let eng = ConstEngine(7.25);
+        let eng = ConstEngine(7.25, 100);
         let mut slab = NappeDelays::full(&spec);
         let mut seen = Vec::new();
         eng.fill_nappe_streamed_for(0, 3, &mut slab, &mut |slot, row| {
@@ -424,7 +509,7 @@ mod tests {
     fn fill_nappe_is_the_composed_transmit_zero_fill() {
         // `fill_nappe` = rx fill + combine, landing on the scalar oracle.
         let spec = usbf_geometry::SystemSpec::tiny();
-        let eng = ConstEngine(10.5);
+        let eng = ConstEngine(10.5, 100);
         let mut composed = NappeDelays::full(&spec);
         let mut scalar = NappeDelays::full(&spec);
         eng.fill_nappe(2, &mut composed);

@@ -37,6 +37,8 @@ pub struct NappeDelays {
     // are not part of the slab's value).
     row_args: Vec<f64>,
     row_regs: Vec<i64>,
+    col_terms: Vec<f64>,
+    row_terms: Vec<f64>,
 }
 
 impl PartialEq for NappeDelays {
@@ -62,6 +64,11 @@ pub struct FillBuffers<'a> {
     /// One element-row of integer register scratch (`elements_nx`
     /// slots).
     pub row_regs: &'a mut [i64],
+    /// One float term per element column (`elements_nx` slots).
+    pub col_terms: &'a mut [f64],
+    /// One float term per element row (`n_elements / elements_nx`
+    /// slots).
+    pub row_terms: &'a mut [f64],
 }
 
 impl NappeDelays {
@@ -91,6 +98,8 @@ impl NappeDelays {
             nappe: None,
             row_args: vec![0.0; n_elements],
             row_regs: vec![0; spec.elements.nx()],
+            col_terms: vec![0.0; spec.elements.nx()],
+            row_terms: vec![0.0; spec.elements.ny()],
         }
     }
 
@@ -215,8 +224,9 @@ impl NappeDelays {
 
     /// Like [`begin_fill`](Self::begin_fill), but also hands out the
     /// slab's preallocated scratch rows — the warm state engines with a
-    /// batched datapath (TABLEFREE's argument rows, TABLESTEER's
-    /// correction registers) use so a warm refill allocates nothing.
+    /// batched datapath (TABLEFREE's argument rows and per-column and
+    /// per-row squares, TABLESTEER's correction registers) use so a warm
+    /// refill allocates nothing.
     ///
     /// # Panics
     ///
@@ -227,6 +237,8 @@ impl NappeDelays {
             samples: &mut self.samples,
             row_args: &mut self.row_args,
             row_regs: &mut self.row_regs,
+            col_terms: &mut self.col_terms,
+            row_terms: &mut self.row_terms,
         }
     }
 
@@ -355,6 +367,8 @@ mod tests {
         assert_eq!(bufs.samples.len(), 6 * 64);
         assert_eq!(bufs.row_args.len(), 64);
         assert_eq!(bufs.row_regs.len(), 8);
+        assert_eq!(bufs.col_terms.len(), 8);
+        assert_eq!(bufs.row_terms.len(), 8);
         bufs.row_args[0] = 42.0; // scratch contents are not slab value…
         assert_eq!(slab.nappe(), Some(7));
         let fresh = {

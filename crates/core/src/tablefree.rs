@@ -3,7 +3,7 @@
 use crate::{DelayEngine, EngineError, NappeDelays};
 use std::sync::atomic::{AtomicU64, Ordering};
 use usbf_geometry::scan::ScanOrder;
-use usbf_geometry::{ElementIndex, SystemSpec, TransmitModel, Vec3, VoxelIndex};
+use usbf_geometry::{ElementIndex, SystemSpec, TransmitModel, VoxelIndex};
 use usbf_pwl::{LutFormats, PwlApprox, QuantizedPwl, SqrtFn, TrackerStats, TrackingEvaluator};
 
 /// Configuration of the TABLEFREE engine.
@@ -68,8 +68,10 @@ pub struct TableFreeEngine {
     config: TableFreeConfig,
     pwl: PwlApprox,
     quant: QuantizedPwl,
-    /// Element positions in linear order, cached for the batched fill.
-    elem_pos: Vec<Vec3>,
+    /// Element x coordinates per column and y coordinates per row,
+    /// cached for the batched fill (element positions are separable).
+    elem_x: Vec<f64>,
+    elem_y: Vec<f64>,
     echo_len: usize,
     samples_per_metre: f64,
     sqrt_evals: AtomicU64,
@@ -83,7 +85,8 @@ impl Clone for TableFreeEngine {
             config: self.config,
             pwl: self.pwl.clone(),
             quant: self.quant.clone(),
-            elem_pos: self.elem_pos.clone(),
+            elem_x: self.elem_x.clone(),
+            elem_y: self.elem_y.clone(),
             echo_len: self.echo_len,
             samples_per_metre: self.samples_per_metre,
             sqrt_evals: AtomicU64::new(0),
@@ -105,12 +108,10 @@ impl TableFreeEngine {
             .lut_formats
             .unwrap_or_else(|| LutFormats::fitted_to(&pwl));
         let quant = QuantizedPwl::quantize(&pwl, formats)?;
+        let array = &spec.elements;
         Ok(TableFreeEngine {
-            elem_pos: spec
-                .elements
-                .iter()
-                .map(|e| spec.elements.position(e))
-                .collect(),
+            elem_x: (0..array.nx()).map(|ix| array.x_of(ix)).collect(),
+            elem_y: (0..array.ny()).map(|iy| array.y_of(iy)).collect(),
             spec: spec.clone(),
             config,
             pwl,
@@ -269,7 +270,11 @@ impl DelayEngine for TableFreeEngine {
     }
 
     /// Receive-leg fill, segment-major (§IV-B's streaming view): each
-    /// scanline's receive arguments are assembled into a row and pushed
+    /// scanline's receive arguments are assembled into a row with §IV-B's
+    /// two additions per element — `dx²` is squared once per element
+    /// column and `dy²` once per element row, and each argument is
+    /// `dx²[ix] + dy²[iy] + dz²`, the scalar [`TableFreeEngine::rx_alpha`]
+    /// sum in the same order — and pushed
     /// through [`QuantizedPwl::eval_row_tracked`], which fetches each PWL
     /// segment's `(c1, c0)` once per contiguous element span instead of
     /// once per element. The arguments a nappe-major sweep produces drift
@@ -296,6 +301,7 @@ impl DelayEngine for TableFreeEngine {
         let bufs = out.begin_fill_scratch(nappe_idx);
         let buf = bufs.samples;
         let row_args = bufs.row_args;
+        let (dx2, dy2) = (bufs.col_terms, bufs.row_terms);
         let mut rx_hint = 0usize;
         for (slot, it, ip) in tile.iter_scanlines() {
             let s = self
@@ -304,10 +310,18 @@ impl DelayEngine for TableFreeEngine {
                 .position(VoxelIndex::new(it, ip, nappe_idx));
             let dz = s.z * spm;
             let dz2 = dz * dz;
-            for (a, d) in row_args.iter_mut().zip(&self.elem_pos) {
-                let dx = (s.x - d.x) * spm;
-                let dy = (s.y - d.y) * spm;
-                *a = dx * dx + dy * dy + dz2;
+            for (q, &x) in dx2.iter_mut().zip(&self.elem_x) {
+                let dx = (s.x - x) * spm;
+                *q = dx * dx;
+            }
+            for (q, &y) in dy2.iter_mut().zip(&self.elem_y) {
+                let dy = (s.y - y) * spm;
+                *q = dy * dy;
+            }
+            for (args, &dy2) in row_args.chunks_exact_mut(dx2.len()).zip(&*dy2) {
+                for (a, &dx2) in args.iter_mut().zip(&*dx2) {
+                    *a = dx2 + dy2 + dz2;
+                }
             }
             let range = slot * n_elements..(slot + 1) * n_elements;
             self.quant

@@ -147,8 +147,8 @@ proptest! {
 
     #[test]
     fn batched_fills_bit_identical_to_scalar_for_all_engines_on_random_geometries(
-        nx in 2usize..6,
-        ny in 2usize..6,
+        nx in 1usize..6,
+        ny in 1usize..6,
         n_theta in 2usize..8,
         n_phi in 2usize..8,
         n_depth in 4usize..12,
@@ -181,8 +181,8 @@ proptest! {
 
     #[test]
     fn multi_transmit_fills_bit_identical_to_scalar_per_transmit_on_random_sequences(
-        nx in 2usize..6,
-        ny in 2usize..6,
+        nx in 1usize..6,
+        ny in 1usize..6,
         n_theta in 2usize..8,
         n_phi in 2usize..8,
         n_depth in 4usize..12,
@@ -249,8 +249,8 @@ proptest! {
 
     #[test]
     fn tablefree_batched_fill_keeps_scalar_op_telemetry_on_random_geometries(
-        nx in 2usize..6,
-        ny in 2usize..6,
+        nx in 1usize..6,
+        ny in 1usize..6,
         n_theta in 2usize..8,
         n_phi in 2usize..8,
         n_depth in 4usize..12,
