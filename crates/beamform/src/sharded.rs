@@ -310,8 +310,9 @@ struct Slot {
 /// let mut rt = ShardedRuntime::new(pool, vec![shard(0.0), shard(1.0)]);
 /// let outcomes = rt.round();
 /// assert!(outcomes.iter().all(|o| o.is_ok()));
-/// assert_eq!(rt.shard(0).frames(), 1);
-/// assert!(rt.volume(1).is_some());
+/// let ids = rt.shard_ids();
+/// assert_eq!(rt.shard_of(ids[0]).expect("live shard").frames(), 1);
+/// assert!(rt.volume_of(ids[1]).is_some());
 /// // Elastic: attach a third session mid-flight, stream, detach it.
 /// let id = rt.attach_shard(shard(2.0)).expect("within budget");
 /// let outcomes = rt.round();
@@ -368,11 +369,6 @@ impl ShardedRuntime {
     /// Number of live (attached) shards.
     pub fn n_shards(&self) -> usize {
         self.slots.iter().filter(|s| s.pipeline.is_some()).count()
-    }
-
-    /// The shared pool all shards dispatch onto.
-    pub fn pool(&self) -> &Arc<ThreadPool> {
-        &self.pool
     }
 
     /// The budget admission decisions are made against.
@@ -641,53 +637,6 @@ impl ShardedRuntime {
         merged
     }
 
-    /// The `i`-th live shard's pipeline, in slot order. Positional
-    /// accessors index the *live* fleet (detached slots are skipped):
-    /// for a statically-built runtime this matches construction order.
-    fn nth_live(&self, i: usize) -> &FramePipeline {
-        self.slots
-            .iter()
-            .filter_map(|s| s.pipeline.as_ref())
-            .nth(i)
-            .expect("live shard index in range")
-    }
-
-    /// Shard `i`'s most recent volume (`None` before its first
-    /// successful frame). Positional: indexes live shards in slot
-    /// order; prefer [`volume_of`](Self::volume_of) under churn.
-    pub fn volume(&self, shard: usize) -> Option<&BeamformedVolume> {
-        self.nth_live(shard).volume()
-    }
-
-    /// Shard `i`'s zero-scatter view (`None` before its first
-    /// successful frame). Positional; prefer
-    /// [`view_of`](Self::view_of) under churn.
-    pub fn view(&self, shard: usize) -> Option<crate::VolumeView<'_>> {
-        self.nth_live(shard).view()
-    }
-
-    /// Shard `i`'s lifetime counters (positional; prefer
-    /// [`stats_of`](Self::stats_of) under churn).
-    pub fn stats(&self, shard: usize) -> PipelineStats {
-        self.nth_live(shard).stats()
-    }
-
-    /// Borrows shard `i`'s pipeline (positional; prefer
-    /// [`shard_of`](Self::shard_of) under churn).
-    pub fn shard(&self, shard: usize) -> &FramePipeline {
-        self.nth_live(shard)
-    }
-
-    /// Mutably borrows shard `i`'s pipeline (positional; prefer
-    /// [`shard_mut_of`](Self::shard_mut_of) under churn).
-    pub fn shard_mut(&mut self, shard: usize) -> &mut FramePipeline {
-        self.slots
-            .iter_mut()
-            .filter_map(|s| s.pipeline.as_mut())
-            .nth(shard)
-            .expect("live shard index in range")
-    }
-
     /// Frame counts per live shard, in slot order — the fairness
     /// snapshot the soak tests assert on (`max − min ≤` a small bound
     /// when every shard is driven through [`round`](Self::round)).
@@ -753,12 +702,13 @@ mod tests {
         let mut baseline1 = VolumeLoop::new(Beamformer::new(&spec));
         let expect0 = baseline0.beamform(exact.as_ref(), &frames[0]).clone();
         let expect1 = baseline1.beamform(steer.as_ref(), &frames[1]).clone();
+        let ids = rt.shard_ids();
         for round in 0..4 {
             let outcomes = rt.round();
             assert!(outcomes.iter().all(|o| o.is_ok()), "round {round}");
             assert!(outcomes.iter().all(|o| o.is_completed()), "round {round}");
-            assert_eq!(rt.volume(0), Some(&expect0), "round {round}");
-            assert_eq!(rt.volume(1), Some(&expect1), "round {round}");
+            assert_eq!(rt.volume_of(ids[0]), Some(&expect0), "round {round}");
+            assert_eq!(rt.volume_of(ids[1]), Some(&expect1), "round {round}");
         }
         assert_eq!(rt.frame_counts(), vec![4, 4]);
     }

@@ -81,7 +81,10 @@ pub trait DelayEngine: Sync {
     /// fractional delay (`floor(x + ½)`, clamped). Both the scalar
     /// [`DelayEngine::delay_index`] and batched slab consumers route
     /// through this, so engines with rounding telemetry (TABLESTEER's
-    /// clamp counter) observe every path.
+    /// clamp counter) observe every path. The default
+    /// [`DelayEngine::quantize_row`] does *not* call this method (it runs
+    /// the same arithmetic as one vector loop), so an engine that
+    /// overrides `delay_index_from` must override `quantize_row` too.
     fn delay_index_from(&self, samples: f64) -> i64 {
         let idx = (samples + 0.5).floor() as i64;
         idx.clamp(0, self.echo_buffer_len() as i64 - 1)
@@ -214,41 +217,29 @@ pub trait DelayEngine: Sync {
     /// This is the per-row counterpart of
     /// [`DelayEngine::delay_index_from`]: the beamformer's inner kernel
     /// calls it **once per (nappe, scanline) row** instead of making one
-    /// virtual `delay_index_from` call per element, so specialized
-    /// overrides run a tight, monomorphic clamp loop. Overrides must be
-    /// bit-identical to the default, and engines with rounding telemetry
-    /// (TABLESTEER's clamp counter) must accumulate **exactly** the same
-    /// counts the per-element path would — `tests/engine_consistency.rs`
-    /// enforces both.
+    /// virtual `delay_index_from` call per element, and the default runs
+    /// the default `delay_index_from` arithmetic as one vector loop
+    /// (`quantize_row_clamped`). Overrides must be bit-identical to the
+    /// default, and engines with rounding telemetry (TABLESTEER's clamp
+    /// counter) must accumulate **exactly** the same counts the
+    /// per-element path would — `tests/engine_consistency.rs` enforces
+    /// both. An engine that overrides `delay_index_from` must override
+    /// this method too, or the batched path bypasses its override.
     ///
     /// # Panics
     ///
-    /// Panics if `row` and `out` differ in length.
+    /// Panics if `row` and `out` differ in length, or if
+    /// [`DelayEngine::echo_buffer_len`] is 0 or above `i32::MAX`.
     fn quantize_row(&self, row: &[f64], out: &mut [i32]) {
-        assert_eq!(row.len(), out.len(), "index row must match delay row");
-        assert_index_window(self.echo_buffer_len());
-        for (o, &s) in out.iter_mut().zip(row) {
-            *o = self.delay_index_from(s) as i32;
-        }
+        quantize_row_clamped(self.echo_buffer_len(), row, out);
     }
 }
 
-/// Panics unless `echo_len` is a window [`DelayEngine::quantize_row`]
-/// can index: at least one sample (the clamp needs a last index) and no
-/// more than `i32::MAX` (the index type).
-#[inline]
-fn assert_index_window(echo_len: usize) {
-    assert!(
-        (1..=i32::MAX as usize).contains(&echo_len),
-        "echo buffer length {echo_len} outside 1..=i32::MAX: no i32 index window"
-    );
-}
-
-/// The shared body of the specialized [`DelayEngine::quantize_row`]
-/// overrides: `floor(x + ½)` rounding clamped to `[0, echo_len)`, exactly
-/// the default `delay_index_from` arithmetic, plus a clamp count for
-/// engines that keep rounding telemetry. One definition so the engines
-/// cannot drift from each other (or from the scalar rounding stage).
+/// The body of every [`DelayEngine::quantize_row`]: `floor(x + ½)`
+/// rounding clamped to `[0, echo_len)`, exactly the default
+/// `delay_index_from` arithmetic, plus a clamp count for engines that
+/// keep rounding telemetry. One definition so the engines cannot drift
+/// from each other (or from the scalar rounding stage).
 ///
 /// The loop is a vector loop: every step is an IEEE operation with a
 /// packed form (`max`/`min`, an add, and `trunc`, which is `vroundpd` on
@@ -274,7 +265,12 @@ pub(crate) fn quantize_row_clamped(echo_len: usize, row: &[f64], out: &mut [i32]
     /// 2⁵²: the unit of the last mantissa bit is 1 from here to 2⁵³.
     const INT_BIAS: f64 = 4_503_599_627_370_496.0;
     assert_eq!(row.len(), out.len(), "index row must match delay row");
-    assert_index_window(echo_len);
+    // At least one sample (the clamp needs a last index) and no more
+    // than `i32::MAX` (the index type).
+    assert!(
+        (1..=i32::MAX as usize).contains(&echo_len),
+        "echo buffer length {echo_len} outside 1..=i32::MAX: no i32 index window"
+    );
     let hi = (echo_len - 1) as f64;
     let lim = echo_len as f64;
     let mut clamps = 0u64;

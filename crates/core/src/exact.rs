@@ -63,12 +63,6 @@ impl DelayEngine for ExactEngine {
         self.echo_len
     }
 
-    /// Batched rounding: one monomorphic clamp loop per row instead of a
-    /// virtual `delay_index_from` call per element.
-    fn quantize_row(&self, row: &[f64], out: &mut [i32]) {
-        crate::engine::quantize_row_clamped(self.echo_len, row, out);
-    }
-
     /// Receive-leg fill: the slab rows hold `|S − D|` in **metres** — the
     /// per-element Euclidean distances, which are the expensive,
     /// transmit-invariant part of Eq. 2's `((tx + |S − D|) / c) · fs`.

@@ -114,13 +114,6 @@ impl DelayEngine for NaiveTableEngine {
         self.echo_len
     }
 
-    /// Batched rounding. The stored indices are already integral and
-    /// in-window, but the arithmetic must stay the shared rounding stage
-    /// so the table path cannot drift from `delay_index_from`.
-    fn quantize_row(&self, row: &[f64], out: &mut [i32]) {
-        crate::engine::quantize_row_clamped(self.echo_len, row, out);
-    }
-
     /// The naive table has **no separable receive leg** — it stores the
     /// final rounded index per `(transmit, voxel, element)`, with the two
     /// legs fused at precompute time. The rx pass therefore only stamps

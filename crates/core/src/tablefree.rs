@@ -263,12 +263,6 @@ impl DelayEngine for TableFreeEngine {
         self.echo_len
     }
 
-    /// Batched rounding: one monomorphic clamp loop per row instead of a
-    /// virtual `delay_index_from` call per element.
-    fn quantize_row(&self, row: &[f64], out: &mut [i32]) {
-        crate::engine::quantize_row_clamped(self.echo_len, row, out);
-    }
-
     /// Receive-leg fill, segment-major (§IV-B's streaming view): each
     /// scanline's receive arguments are assembled into a row with §IV-B's
     /// two additions per element — `dx²` is squared once per element

@@ -2,8 +2,9 @@
 //! preregistered job slots, giving idle workers something to **steal**.
 //!
 //! Every [`JobHandle`](crate::JobHandle) is enrolled here for its whole
-//! lifetime; each of its runs keeps its own claim cursor (the
-//! `RunState::next` index inside the job's `RegisteredCore`). The arena
+//! lifetime, and every `par_map_indexed` call's job core for the call;
+//! each run keeps its own claim cursor (the `RunState::next` index
+//! inside the job's `RegisteredCore`). The arena
 //! is the shared view over those per-shard cursors: a worker whose own
 //! announcement queue runs dry walks the arena and drains any enrolled
 //! run that still has unclaimed tasks, instead of parking while another

@@ -9,13 +9,11 @@
 //! parked on preallocated per-worker queues, and handed jobs by
 //! reference.
 //!
-//! Four layers:
+//! Three layers:
 //!
 //! * [`ThreadPool`] — the pool itself: `new(threads)` or the process-wide
 //!   [`global`] instance (sized from `USBF_POOL_THREADS` or the available
 //!   parallelism);
-//! * [`ThreadPool::scope`] / [`PoolScope::spawn`] — structured borrowed
-//!   tasks, shaped like [`std::thread::scope`] but executed by the pool;
 //! * [`ThreadPool::register`] / [`JobHandle::run`] /
 //!   [`JobHandle::start`] — preregistered job slots for frame loops: the
 //!   completion barrier is allocated once and re-announced per frame,
@@ -24,13 +22,15 @@
 //!   churn, no task boxing). `start` returns a [`PendingJob`] guard that
 //!   keeps the run in flight while the caller does other work —
 //!   `wait()`/`try_wait()` redeem it, dropping it joins;
-//! * [`par_map`] / [`par_map_indexed`] / [`par_for_each_index`] — the
-//!   drop-in parallel maps every call site already uses, with dynamic
-//!   work claiming so stragglers don't serialize the pool.
+//! * [`par_map`] / [`ThreadPool::par_map_indexed`] — the parallel map
+//!   for one-shot work: one run of a job core that lives for the call,
+//!   with dynamic work claiming so stragglers don't serialize the pool.
 //!
-//! The calling thread always participates in its own job, which makes
-//! nested `scope`/`par_map` calls from inside tasks deadlock-free: the
-//! inner job is drained by its own caller even when every worker is busy.
+//! Every job is the same kind of job — a run of indexed tasks over
+//! borrowed state — so the workers have one thing to drain. The calling
+//! thread always participates in its own job, which makes nested
+//! `par_map` calls from inside tasks deadlock-free: the inner job is
+//! drained by its own caller even when every worker is busy.
 //!
 //! ```
 //! let squares = usbf_par::par_map(&[1u64, 2, 3, 4], |_, &x| x * x);
@@ -41,14 +41,11 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod job;
 mod pool;
 mod registered;
-mod scope;
 
 pub use pool::{global, global_arc, ThreadPool};
 pub use registered::{JobHandle, PendingJob};
-pub use scope::PoolScope;
 
 /// The pool's default sizing: `USBF_POOL_THREADS` when set to a positive
 /// integer, the host's available parallelism otherwise. This is the size
@@ -60,21 +57,13 @@ pub fn default_threads() -> usize {
     ThreadPool::default_threads()
 }
 
-/// Number of claimants [`par_map`] would use for `n_items` of work: the
-/// default pool size ([`default_threads`]), capped by the item count
-/// (never zero). A pure query — it does not build the global pool.
-pub fn thread_count(n_items: usize) -> usize {
-    default_threads().min(n_items).max(1)
-}
-
 /// Maps `f` over `items` on the global pool, returning the results in
 /// input order. `f` receives `(index, &item)`.
 ///
-/// Items are claimed dynamically (one atomic fetch-add per item), so
-/// stragglers don't serialize the pool. Panics in `f` propagate. This is
-/// the historical entry point and is identical to [`par_map_indexed`];
-/// no threads are spawned by the call — the persistent workers of
-/// [`global`] do the work.
+/// Items are claimed dynamically, so stragglers don't serialize the
+/// pool. Panics in `f` propagate. This is
+/// [`ThreadPool::par_map_indexed`] on [`global`]; no threads are spawned
+/// by the call — the persistent workers of the global pool do the work.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -84,31 +73,9 @@ where
     global().par_map_indexed(items, f)
 }
 
-/// Explicitly named alias of [`par_map`]: maps `(index, &item) → R` over
-/// the global pool, preserving input order.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    global().par_map_indexed(items, f)
-}
-
-/// Runs `f` for every index in `0..n`, in parallel on the global pool,
-/// discarding results.
-pub fn par_for_each_index<F>(n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let indices: Vec<usize> = (0..n).collect();
-    par_map(&indices, |_, &i| f(i));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn map_preserves_order() {
@@ -130,31 +97,6 @@ mod tests {
     fn single_item_runs_inline() {
         let out = par_map(&[41u32], |_, &x| x + 1);
         assert_eq!(out, vec![42]);
-    }
-
-    #[test]
-    fn for_each_visits_every_index_once() {
-        let sum = AtomicU64::new(0);
-        par_for_each_index(100, |i| {
-            sum.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 4950);
-    }
-
-    #[test]
-    fn thread_count_is_capped_by_items() {
-        assert_eq!(thread_count(0), 1);
-        assert_eq!(thread_count(1), 1);
-        assert!(thread_count(1_000_000) >= 1);
-    }
-
-    #[test]
-    fn indexed_alias_matches_par_map() {
-        let items: Vec<u32> = (0..32).collect();
-        assert_eq!(
-            par_map(&items, |i, &x| x as usize + i),
-            par_map_indexed(&items, |i, &x| x as usize + i)
-        );
     }
 
     #[test]

@@ -1,23 +1,12 @@
 //! The persistent worker pool.
 
 use crate::arena::ClaimArena;
-use crate::job::JobCore;
 use crate::registered::RegisteredCore;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-
-/// What a worker queue carries: either a one-shot scoped job (its core
-/// allocated by the announcing `scope` call) or a preregistered job slot
-/// (its core allocated once, at `ThreadPool::register`). Announcing
-/// either kind only clones an `Arc` — the distinction is who paid for
-/// the allocation, and when.
-pub(crate) enum WorkItem {
-    Scoped(Arc<JobCore>),
-    Registered(Arc<RegisteredCore>),
-}
 
 /// How many announcements a worker queue can hold before its ring
 /// buffer grows. Queues drain continuously (an announcement is an
@@ -40,7 +29,8 @@ struct WorkQueue {
 }
 
 struct QueueState {
-    items: VecDeque<WorkItem>,
+    /// Announced job cores; announcing only clones an `Arc`.
+    items: VecDeque<Arc<RegisteredCore>>,
     /// Set when the pool drops: the worker exits once the queue drains.
     closed: bool,
 }
@@ -59,7 +49,7 @@ impl WorkQueue {
     /// Enqueues an announcement and wakes the worker. Announcements to
     /// a closed (dropping) pool are discarded — the announcing owner
     /// always drains its own job, so tasks are never lost.
-    fn push(&self, item: WorkItem) {
+    fn push(&self, item: Arc<RegisteredCore>) {
         let mut state = self.state.lock().unwrap();
         if state.closed {
             return;
@@ -77,7 +67,7 @@ impl WorkQueue {
 
     /// Blocks until an announcement arrives (`Some`) or the queue is
     /// closed and empty (`None`).
-    fn pop(&self) -> Option<WorkItem> {
+    fn pop(&self) -> Option<Arc<RegisteredCore>> {
         let mut state = self.state.lock().unwrap();
         loop {
             if let Some(item) = state.items.pop_front() {
@@ -104,7 +94,7 @@ impl WorkQueue {
 
 /// Result of a non-blocking [`WorkQueue::try_pop`].
 enum Popped {
-    Item(WorkItem),
+    Item(Arc<RegisteredCore>),
     Empty,
     Closed,
 }
@@ -112,14 +102,14 @@ enum Popped {
 /// A pool of persistent worker threads with a per-worker job injector.
 ///
 /// Workers are spawned **once**, at construction, and parked on their own
-/// preallocated work queue; every [`scope`](ThreadPool::scope) /
-/// [`par_map_indexed`](ThreadPool::par_map_indexed) call announces its job
-/// to the per-worker queues instead of spawning threads, which is what
-/// removes the per-frame thread-creation cost from real-time volume loops
-/// (see `usbf_beamform::VolumeLoop`). The calling thread always
+/// preallocated work queue; every [`JobHandle`](crate::JobHandle) run and
+/// every [`par_map_indexed`](ThreadPool::par_map_indexed) call announces
+/// its job to the per-worker queues instead of spawning threads, which is
+/// what removes the per-frame thread-creation cost from real-time volume
+/// loops (see `usbf_beamform::VolumeLoop`). The calling thread always
 /// participates in its own job, so a pool is deadlock-free even when all
-/// workers are busy — nested `scope`/`par_map` calls from inside tasks
-/// simply run on the threads already committed to them.
+/// workers are busy — nested `par_map` calls from inside tasks simply run
+/// on the threads already committed to them.
 ///
 /// ```
 /// let pool = usbf_par::ThreadPool::new(2);
@@ -142,8 +132,8 @@ pub struct ThreadPool {
 impl ThreadPool {
     /// Builds a pool with exactly `threads` persistent workers.
     ///
-    /// A pool of 0 or 1 threads is valid: `par_map` and `scope` tasks
-    /// then run inline on the caller (matching the old spawn-per-call
+    /// A pool of 0 or 1 threads is valid: `par_map` and `JobHandle::run`
+    /// tasks then run inline on the caller (matching the old spawn-per-call
     /// behaviour on single-core hosts), with no queueing or
     /// coordination cost.
     ///
@@ -228,36 +218,20 @@ impl ThreadPool {
         &self.arena
     }
 
-    /// Announces a job to one worker queue, round-robin: every spawn
-    /// pokes a worker, so a burst of spawns reaches every worker without
-    /// waking the whole pool per task. Workers that are busy see the
-    /// announcement after finishing their current job; stale
-    /// announcements for completed jobs cost one empty queue check.
-    pub(crate) fn announce(&self, job: &Arc<JobCore>) {
-        if self.queues.is_empty() {
-            return;
-        }
-        let i = self.next_announce.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        // Announcing to a dropping pool is a no-op; the announcing scope
-        // still drains its own queue, so tasks are never lost.
-        self.queues[i].push(WorkItem::Scoped(Arc::clone(job)));
-    }
-
-    /// Announces a preregistered job to `count` distinct worker queues,
-    /// round-robin. One announcement per *worker*, never per task: the
-    /// job's tasks are claimed by index from the shared core, so waking
-    /// `min(threads, tasks)` workers is all the fan-out a run needs.
-    pub(crate) fn announce_registered(&self, core: &Arc<RegisteredCore>, count: usize) {
-        if self.queues.is_empty() {
-            return;
-        }
-        let n = count.min(self.queues.len());
+    /// Announces a job to every worker queue, starting round-robin. One
+    /// announcement per *worker*, never per task: the job's tasks are
+    /// claimed by index from the shared core. Waking every worker (not
+    /// `min(threads, tasks)`) lets idle workers absorb this run's tasks
+    /// through the claim arena even when a concurrent run has some
+    /// workers pinned; stale wake-ups cost one empty queue check plus
+    /// one arena sweep.
+    pub(crate) fn announce(&self, core: &Arc<RegisteredCore>) {
+        let n = self.queues.len();
         let start = self.next_announce.fetch_add(n, Ordering::Relaxed);
         for k in 0..n {
-            let i = (start + k) % self.queues.len();
-            // As with scoped jobs, announcing mid-drop is a no-op; the
-            // run's owner drains its own job regardless.
-            self.queues[i].push(WorkItem::Registered(Arc::clone(core)));
+            // Announcing to a dropping pool is a no-op; the run's owner
+            // drains its own job regardless.
+            self.queues[(start + k) % n].push(Arc::clone(core));
         }
     }
 }
@@ -279,15 +253,11 @@ fn worker_loop(queue: &WorkQueue, arena: &ClaimArena) {
     // wake-up), then steal from any enrolled job with claimable tasks,
     // and only park when both come up empty. The blocking `pop` is the
     // park point; a new announcement to *this* queue is what wakes the
-    // worker, and `JobHandle::start` announces every run to every
-    // queue, so no run can pend while a worker sleeps.
+    // worker, and every run is announced to every queue, so no run can
+    // pend while a worker sleeps.
     loop {
         match queue.try_pop() {
-            Popped::Item(WorkItem::Scoped(job)) => {
-                job.drain(false);
-                continue;
-            }
-            Popped::Item(WorkItem::Registered(core)) => {
+            Popped::Item(core) => {
                 core.drain(false);
                 continue;
             }
@@ -298,10 +268,7 @@ fn worker_loop(queue: &WorkQueue, arena: &ClaimArena) {
             continue;
         }
         match queue.pop() {
-            Some(WorkItem::Scoped(job)) => {
-                job.drain(false);
-            }
-            Some(WorkItem::Registered(core)) => {
+            Some(core) => {
                 core.drain(false);
             }
             None => return,

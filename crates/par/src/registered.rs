@@ -1,19 +1,15 @@
-//! Preregistered job slots: frame-rate dispatch with the per-frame
-//! allocations removed, and a guard-object API for keeping a run **in
-//! flight** while the caller does other work.
+//! The pool's one job type: a run of indexed tasks over borrowed state,
+//! with the per-frame allocations removed, and a guard-object API for
+//! keeping a run **in flight** while the caller does other work.
 //!
-//! A [`scope`](crate::ThreadPool::scope) call allocates one
-//! `Arc<JobCore>` per job and one boxed closure per spawned task. For a
-//! one-shot parallel section that is noise, but a real-time volume loop
-//! announces the *same* job shape thousands of times per second — the
-//! per-tile boxes are the last per-frame heap traffic on the dispatch
-//! path. A [`JobHandle`] removes them: the completion barrier is
-//! allocated **once**, at [`ThreadPool::register`], and every run
-//! re-announces it with borrowed state dispatched through a
-//! monomorphized function pointer — no task boxing, no `Arc` creation,
-//! no per-tile allocation of any kind.
+//! A real-time volume loop announces the *same* job shape thousands of
+//! times per second, so a [`JobHandle`] allocates its completion barrier
+//! **once**, at [`ThreadPool::register`], and every run re-announces it
+//! with borrowed state dispatched through a monomorphized function
+//! pointer — no task boxing, no `Arc` creation, no per-tile allocation
+//! of any kind.
 //!
-//! Two dispatch shapes share that machinery:
+//! Three dispatch shapes share that machinery:
 //!
 //! * [`JobHandle::run`] — synchronous: announce, help drain, return when
 //!   every task has finished (the shape `usbf_beamform::VolumeLoop`
@@ -27,7 +23,9 @@
 //!   dropping the guard joins silently. This is what lets
 //!   `usbf_beamform::FramePipeline::submit` kick off beamforming of
 //!   frame `n` and hand control back to a caller still consuming volume
-//!   `n − 1`.
+//!   `n − 1`;
+//! * [`ThreadPool::par_map_indexed`] — one run of a job core that lives
+//!   for the duration of the call, with one output slot per item.
 //!
 //! Tasks are indexed rather than enqueued: a run claims each index in
 //! `0..states.len()` exactly once (one claim under the job mutex),
@@ -49,10 +47,10 @@ type CallFn = fn(*const (), *const (), usize, *mut ());
 
 /// Mutable state of the current (or most recent) run, guarded by one
 /// mutex. The raw pointers are only ever dereferenced by tasks claimed
-/// while `active` is true, and the run's owner ([`JobHandle::run`], or
-/// the [`PendingJob`] guard for asynchronous runs) does not release its
-/// borrows until every claimed task has finished — which is what makes
-/// the borrowed context and state slice sound.
+/// while `active` is true, and the run's owner (the [`PendingJob`] guard
+/// every run is started with) does not release its borrows until every
+/// claimed task has finished — which is what makes the borrowed context
+/// and state slice sound.
 struct RunState {
     call: Option<CallFn>,
     /// Erased `&C` shared context of the current run.
@@ -73,16 +71,17 @@ struct RunState {
 
 // SAFETY: the raw pointers inside `RunState` are only dereferenced by
 // tasks claimed under the mutex while `active` is true; the run's owner
-// (`JobHandle::run`, or the `PendingJob` guard that `JobHandle::start`
-// returns) holds the pointed-to borrows for the whole run and blocks on
-// the barrier (`next == n_tasks && in_flight == 0`) before deactivating,
-// so no thread can observe them dangling. The pointed-to types are
-// constrained by the `start` bounds (`C: Sync`, `S: Send`).
+// (the `PendingJob` guard that `ThreadPool::start_run` returns to
+// `JobHandle::start` and `par_map_indexed`) holds the pointed-to borrows
+// for the whole run and blocks on the barrier (`next == n_tasks &&
+// in_flight == 0`) before deactivating, so no thread can observe them
+// dangling. The pointed-to types are constrained by the `start_run`
+// bounds (`C: Sync`, `S: Send`).
 #[allow(unsafe_code)]
 unsafe impl Send for RunState {}
 
-/// Shared core of one preregistered job: the completion barrier that is
-/// allocated once and reused by every run.
+/// Shared core of one job: the completion barrier, allocated once per
+/// [`JobHandle`] (or per `par_map_indexed` call) and reused by every run.
 pub(crate) struct RegisteredCore {
     run: Mutex<RunState>,
     complete: Condvar,
@@ -187,12 +186,11 @@ impl RegisteredCore {
 /// A reusable, preregistered job slot on a [`ThreadPool`], created by
 /// [`ThreadPool::register`].
 ///
-/// Where [`ThreadPool::scope`] allocates a fresh job core and boxes one
-/// closure per spawned task, a `JobHandle` owns its completion barrier
-/// for life and dispatches every run through borrowed state — a warm
-/// [`run`](JobHandle::run) or [`start`](JobHandle::start) performs
-/// **zero** heap allocations beyond the pool's internal worker wake-ups
-/// (which are per-worker, never per-task). This is the dispatch path
+/// A `JobHandle` owns its completion barrier for life and dispatches
+/// every run through borrowed state — a warm [`run`](JobHandle::run) or
+/// [`start`](JobHandle::start) performs **zero** heap allocations beyond
+/// the pool's internal worker wake-ups (which are per-worker, never
+/// per-task). This is the dispatch path
 /// real-time frame loops sit on: `usbf_beamform::VolumeLoop` registers
 /// one handle at construction and re-announces it every frame, and
 /// `usbf_beamform::FramePipeline` starts one asynchronous run per
@@ -224,16 +222,15 @@ pub struct JobHandle {
 /// and state slice from the erased pointers captured for a run.
 fn call_shim<S, C>(ctx: *const (), user: *const (), i: usize, states: *mut ()) {
     // SAFETY: the run's owner stores `ctx`/`states` from live borrows
-    // (held by `JobHandle::run`'s stack frame or by the `PendingJob`
-    // guard) and does not release them until the barrier observes every
-    // claimed task finished, so both pointers are valid for the whole
-    // task. Each index is claimed exactly once per run, so
-    // `states.add(i)` is an exclusive `&mut S`. `user` was created by
-    // casting a `fn(&C, usize, &mut S)` pointer in `start`, the only
-    // writer, and this shim is monomorphized over the same `(S, C)`
-    // pair, so transmuting it back recovers the original function
-    // pointer (fn pointers and data pointers share a representation on
-    // every platform this crate supports).
+    // (held by the `PendingJob` guard) and does not release them until
+    // the barrier observes every claimed task finished, so both pointers
+    // are valid for the whole task. Each index is claimed exactly once
+    // per run, so `states.add(i)` is an exclusive `&mut S`. `user` was
+    // created by casting a `fn(&C, usize, &mut S)` pointer in
+    // `start_run`, the only writer, and this shim is monomorphized over
+    // the same `(S, C)` pair, so transmuting it back recovers the
+    // original function pointer (fn pointers and data pointers share a
+    // representation on every platform this crate supports).
     #[allow(unsafe_code)]
     unsafe {
         let f: fn(&C, usize, &mut S) = std::mem::transmute(user);
@@ -313,67 +310,7 @@ impl JobHandle {
         S: Send,
         C: Sync,
     {
-        let n = states.len();
-        // No workers to hand the tasks to: run them here, now. The guard
-        // comes back already complete (panics are still delivered at
-        // `wait`, matching the announced path).
-        if self.pool.threads() == 0 || n == 0 {
-            for (i, state) in states.iter_mut().enumerate() {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| call(ctx, i, state))) {
-                    let mut slot = self.core.panic.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                }
-            }
-            return PendingJob {
-                core: Arc::clone(&self.core),
-                announced: false,
-                states: Some(states),
-                _ctx: PhantomData,
-            };
-        }
-
-        {
-            let mut run = self.core.run.lock().unwrap();
-            // A hard assert, not a debug_assert: with the guard API this
-            // is unreachable through sound code (starting needs `&mut
-            // self`, which the live PendingJob holds), so tripping it
-            // means a guard was leaked — fail loudly rather than hand
-            // two runs one RunState.
-            assert!(
-                !run.active,
-                "a JobHandle supports one run at a time (was a PendingJob leaked?)"
-            );
-            run.call = Some(call_shim::<S, C>);
-            run.ctx = ctx as *const C as *const ();
-            run.user = call as *const ();
-            run.states = states.as_mut_ptr() as *mut ();
-            run.next = 0;
-            run.n_tasks = n;
-            run.in_flight = 0;
-            run.active = true;
-            self.core.active_hint.store(true, Ordering::Relaxed);
-        }
-        // Announce to every worker, not `min(n, threads)`: with the
-        // claim arena, an awake worker whose own queue is empty steals
-        // from *any* active run, so waking the whole pool lets idle
-        // workers absorb this run's tasks even when a concurrent run has
-        // the originally-announced workers pinned. Stale wake-ups cost
-        // one empty queue check + one arena sweep.
-        self.pool
-            .announce_registered(&self.core, self.pool.threads());
-        PendingJob {
-            core: Arc::clone(&self.core),
-            announced: true,
-            states: Some(states),
-            _ctx: PhantomData,
-        }
-    }
-
-    /// The pool this job is registered on.
-    pub fn pool(&self) -> &Arc<ThreadPool> {
-        &self.pool
+        self.pool.start_run(&self.core, states, ctx, call)
     }
 }
 
@@ -516,5 +453,106 @@ impl ThreadPool {
             arena_slot,
             arena_generation,
         }
+    }
+
+    /// Starts one run of `core` — `call(ctx, i, &mut states[i])` for
+    /// every `i` in `0..states.len()` — and returns its guard. Shared by
+    /// [`JobHandle::start`] and [`ThreadPool::par_map_indexed`]; the
+    /// caller guarantees `core` has no active run.
+    pub(crate) fn start_run<'a, S, C>(
+        &self,
+        core: &Arc<RegisteredCore>,
+        states: &'a mut [S],
+        ctx: &'a C,
+        call: fn(&C, usize, &mut S),
+    ) -> PendingJob<'a, S>
+    where
+        S: Send,
+        C: Sync,
+    {
+        let n = states.len();
+        // No workers to hand the tasks to: run them here, now. The guard
+        // comes back already complete (panics are still delivered at
+        // `wait`, matching the announced path).
+        let announced = self.threads() > 0 && n > 0;
+        if !announced {
+            for (i, state) in states.iter_mut().enumerate() {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| call(ctx, i, state))) {
+                    let mut slot = core.panic.lock().unwrap();
+                    if slot.is_none() {
+                        *slot = Some(payload);
+                    }
+                }
+            }
+        } else {
+            let mut run = core.run.lock().unwrap();
+            // A hard assert, not a debug_assert: with the guard API this
+            // is unreachable through sound code (starting needs `&mut
+            // JobHandle`, which the live PendingJob holds), so tripping
+            // it means a guard was leaked — fail loudly rather than hand
+            // two runs one RunState.
+            assert!(
+                !run.active,
+                "a JobHandle supports one run at a time (was a PendingJob leaked?)"
+            );
+            run.call = Some(call_shim::<S, C>);
+            run.ctx = ctx as *const C as *const ();
+            run.user = call as *const ();
+            run.states = states.as_mut_ptr() as *mut ();
+            run.next = 0;
+            run.n_tasks = n;
+            run.in_flight = 0;
+            run.active = true;
+            core.active_hint.store(true, Ordering::Relaxed);
+            drop(run);
+            self.announce(core);
+        }
+        PendingJob {
+            core: Arc::clone(core),
+            announced,
+            states: Some(states),
+            _ctx: PhantomData,
+        }
+    }
+
+    /// Maps `f` over `items` on the pool's workers, returning results in
+    /// input order; `f` receives `(index, &item)`.
+    ///
+    /// The call is one run of a job core that lives for the duration of
+    /// the call: enrolled in the claim arena like a [`JobHandle`], one
+    /// task per item, task `i` writing `f(i, &items[i])` into its own
+    /// output slot. Items are claimed dynamically, so uneven per-item
+    /// costs still balance, and the calling thread drains the run too,
+    /// so the call completes even when every worker is busy with other
+    /// jobs (nested calls from inside tasks cannot deadlock).
+    /// Single-item inputs and pools of ≤ 1 thread run inline on the
+    /// caller. The first panic in `f` is re-thrown here after every
+    /// other item has finished.
+    pub fn par_map_indexed<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        if self.threads() <= 1 || items.len() <= 1 {
+            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        }
+        fn map_one<T, R, F: Fn(usize, &T) -> R>(ctx: &(&[T], &F), i: usize, out: &mut Option<R>) {
+            *out = Some((ctx.1)(i, &ctx.0[i]));
+        }
+        let core = Arc::new(RegisteredCore::new());
+        let (slot, generation) = self.arena().enroll(&core);
+        let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+        let ctx = (items, &f);
+        let (_, payload) = self
+            .start_run(&core, &mut out, &ctx, map_one::<T, R, F>)
+            .wait_result();
+        self.arena().retire(slot, generation);
+        if let Some(payload) = payload {
+            resume_unwind(payload);
+        }
+        out.into_iter()
+            .map(|r| r.expect("every index claimed exactly once"))
+            .collect()
     }
 }

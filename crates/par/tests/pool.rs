@@ -1,10 +1,11 @@
 //! Behavioural tests for the persistent pool: reuse, panic propagation,
-//! nesting, and structured-scope semantics. Pools here are built with an
-//! explicit worker count so the multi-worker paths are exercised even on
-//! single-core CI hosts.
+//! nesting, and the registered-job guard API. Pools here are built with
+//! an explicit worker count so the multi-worker paths are exercised even
+//! on single-core CI hosts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use usbf_par::ThreadPool;
 
 #[test]
@@ -28,39 +29,6 @@ fn par_map_matches_serial_reference() {
 }
 
 #[test]
-fn scope_tasks_borrow_caller_state() {
-    let pool = ThreadPool::new(2);
-    let sum = AtomicU64::new(0);
-    let data: Vec<u64> = (1..=100).collect();
-    pool.scope(|s| {
-        for chunk in data.chunks(10) {
-            s.spawn(|| {
-                sum.fetch_add(chunk.iter().sum(), Ordering::Relaxed);
-            });
-        }
-    });
-    assert_eq!(sum.load(Ordering::Relaxed), 5050);
-}
-
-#[test]
-fn tasks_can_spawn_onto_their_own_scope() {
-    let pool = ThreadPool::new(2);
-    let count = AtomicUsize::new(0);
-    pool.scope(|s| {
-        for _ in 0..4 {
-            s.spawn(|| {
-                count.fetch_add(1, Ordering::Relaxed);
-                // Nested spawn onto the same scope, from inside a task.
-                s.spawn(|| {
-                    count.fetch_add(1, Ordering::Relaxed);
-                });
-            });
-        }
-    });
-    assert_eq!(count.load(Ordering::Relaxed), 8);
-}
-
-#[test]
 fn nested_par_map_inside_par_map_completes() {
     // Inner jobs are drained by their own callers, so nesting cannot
     // deadlock even when the pool is saturated by the outer call.
@@ -78,47 +46,6 @@ fn nested_par_map_inside_par_map_completes() {
 }
 
 #[test]
-fn nested_scope_inside_scope_completes() {
-    let pool = ThreadPool::new(2);
-    let hits = AtomicUsize::new(0);
-    pool.scope(|outer| {
-        for _ in 0..3 {
-            outer.spawn(|| {
-                pool.scope(|inner| {
-                    for _ in 0..3 {
-                        inner.spawn(|| {
-                            hits.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-            });
-        }
-    });
-    assert_eq!(hits.load(Ordering::Relaxed), 9);
-}
-
-#[test]
-fn panic_in_task_propagates_and_pool_survives() {
-    let pool = ThreadPool::new(4);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        pool.scope(|s| {
-            s.spawn(|| panic!("task panic payload"));
-        });
-    }));
-    let payload = result.expect_err("scope must re-throw the task panic");
-    let msg = payload
-        .downcast_ref::<&str>()
-        .copied()
-        .unwrap_or("<non-str payload>");
-    assert_eq!(msg, "task panic payload");
-
-    // The pool must remain fully usable after a panicked job.
-    let items: Vec<usize> = (0..64).collect();
-    let out = pool.par_map_indexed(&items, |_, &x| x + 1);
-    assert_eq!(out, (1..=64).collect::<Vec<_>>());
-}
-
-#[test]
 fn panic_in_par_map_item_propagates() {
     let pool = ThreadPool::new(4);
     let items: Vec<usize> = (0..64).collect();
@@ -130,8 +57,9 @@ fn panic_in_par_map_item_propagates() {
             x
         })
     }));
-    assert!(result.is_err(), "panic in f must reach the caller");
-    // Subsequent calls still work.
+    let payload = result.expect_err("panic in f must reach the caller");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+    // The pool remains fully usable after a panicked call.
     assert_eq!(pool.par_map_indexed(&items, |_, &x| x), items);
 }
 
@@ -139,32 +67,19 @@ fn panic_in_par_map_item_propagates() {
 fn sibling_tasks_finish_even_when_one_panics() {
     let pool = ThreadPool::new(2);
     let done = AtomicUsize::new(0);
+    let items: Vec<usize> = (0..6).collect();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        pool.scope(|s| {
-            for i in 0..6 {
-                let done = &done;
-                s.spawn(move || {
-                    if i == 2 {
-                        panic!("one bad task");
-                    }
-                    done.fetch_add(1, Ordering::Relaxed);
-                });
+        pool.par_map_indexed(&items, |_, &i| {
+            if i == 2 {
+                panic!("one bad item");
             }
-        });
+            done.fetch_add(1, Ordering::Relaxed);
+        })
     }));
-    assert!(result.is_err());
+    let payload = result.expect_err("par_map must re-throw the item panic");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"one bad item"));
     // The barrier ran every sibling before re-throwing.
     assert_eq!(done.load(Ordering::Relaxed), 5);
-}
-
-#[test]
-fn scope_returns_closure_value() {
-    let pool = ThreadPool::new(2);
-    let value = pool.scope(|s| {
-        s.spawn(|| {});
-        42u32
-    });
-    assert_eq!(value, 42);
 }
 
 #[test]
@@ -253,7 +168,7 @@ fn multiple_registered_jobs_share_one_pool() {
 }
 
 #[test]
-fn registered_jobs_interleave_with_scoped_jobs() {
+fn registered_jobs_interleave_with_par_map_calls() {
     let pool = std::sync::Arc::new(ThreadPool::new(3));
     let mut job = ThreadPool::register(&pool);
     let mut slots = vec![0usize; 24];
@@ -289,13 +204,68 @@ fn zero_and_one_thread_pools_run_inline() {
             pool.par_map_indexed(&items, |_, &x| x * 3),
             (0..16).map(|x| x * 3).collect::<Vec<_>>()
         );
-        let hit = AtomicUsize::new(0);
-        pool.scope(|s| {
-            s.spawn(|| {
-                hit.fetch_add(1, Ordering::Relaxed);
-            });
+    }
+}
+
+/// Every worker is pinned inside another registered run (barrier-gated,
+/// so the pinning is certain, not likely): a `par_map` from the test
+/// thread must still complete, in order, with every item drained by the
+/// calling thread itself.
+#[test]
+fn par_map_completes_on_the_caller_while_every_worker_is_pinned() {
+    const WORKERS: usize = 3;
+    let pool = Arc::new(ThreadPool::new(WORKERS));
+    let mut pinner = ThreadPool::register(&pool);
+    // Rendezvous A: every worker is inside a `pinner` task.
+    // Rendezvous B: released only after the par_map assertions.
+    let entered = Barrier::new(WORKERS + 1);
+    let release = Barrier::new(WORKERS + 1);
+    let gates = (&entered, &release);
+    let mut pin_slots = vec![0u8; WORKERS];
+    let pending = pinner.start(&mut pin_slots, &gates, |g, _, s: &mut u8| {
+        g.0.wait();
+        g.1.wait();
+        *s = 1;
+    });
+    entered.wait();
+
+    let caller = std::thread::current().id();
+    let items: Vec<usize> = (0..40).collect();
+    // Caught, so a failure releases the pinned workers instead of
+    // hanging the join below.
+    let out = catch_unwind(AssertUnwindSafe(|| {
+        pool.par_map_indexed(&items, |i, &x| {
+            assert_eq!(
+                std::thread::current().id(),
+                caller,
+                "item {i} left the caller"
+            );
+            x * 3 + i
+        })
+    }));
+    release.wait();
+    assert_eq!(pending.wait(), &mut [1u8; WORKERS]);
+    let out = out.expect("par_map completes on the caller");
+    assert_eq!(out, (0..40).map(|x| x * 4).collect::<Vec<_>>());
+}
+
+/// `par_map` nested inside a registered run's tasks completes on pools
+/// of every size, including the inline 0- and 1-worker paths.
+#[test]
+fn par_map_nested_inside_a_registered_run_completes() {
+    for threads in [0usize, 1, 2, 4] {
+        let pool = Arc::new(ThreadPool::new(threads));
+        let mut job = ThreadPool::register(&pool);
+        let mut totals = vec![0usize; 6];
+        let inner: Vec<usize> = (0..30).collect();
+        job.run(&mut totals, &|o, total: &mut usize| {
+            *total = pool
+                .par_map_indexed(&inner, |_, &i| i * o)
+                .into_iter()
+                .sum();
         });
-        assert_eq!(hit.load(Ordering::Relaxed), 1);
+        let expected: Vec<usize> = (0..6).map(|o| o * (0..30).sum::<usize>()).collect();
+        assert_eq!(totals, expected, "{threads} threads");
     }
 }
 

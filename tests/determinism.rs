@@ -145,8 +145,8 @@ fn sharded_runtime_is_bit_identical_across_pool_sizes() {
         for round in 0..4 {
             let outcomes = rt.round();
             assert!(outcomes.iter().all(|o| o.is_ok()), "round {round}");
-            for shard in 0..rt.n_shards() {
-                volumes.push(rt.volume(shard).expect("completed frame").clone());
+            for id in rt.shard_ids() {
+                volumes.push(rt.volume_of(id).expect("completed frame").clone());
             }
         }
         match &reference {

@@ -48,6 +48,7 @@ fn soak(plans: &[ShardPlan], workers: usize, rounds: usize) {
     let configs = plans.iter().map(ShardPlan::config).collect();
     let mut rt = ShardedRuntime::new(pool, configs);
     let mut outcomes = Vec::new();
+    let ids = rt.shard_ids();
 
     for round in 0..rounds {
         rt.round_into(&mut outcomes);
@@ -59,7 +60,7 @@ fn soak(plans: &[ShardPlan], workers: usize, rounds: usize) {
             );
             let expect = &baselines[shard][round % ring_lens[shard]];
             assert_eq!(
-                rt.volume(shard).expect("completed frame"),
+                rt.volume_of(ids[shard]).expect("completed frame"),
                 expect,
                 "{} diverged from its serial baseline at round {round} \
                  with {workers} worker(s)",
@@ -84,7 +85,7 @@ fn soak(plans: &[ShardPlan], workers: usize, rounds: usize) {
         "every shard completes every frame ({workers} workers)"
     );
     for (shard, plan) in plans.iter().enumerate() {
-        let stats = rt.stats(shard);
+        let stats = rt.stats_of(ids[shard]).expect("live shard");
         assert_eq!(stats.frames, rounds as u64, "{}", plan.name);
         assert_eq!(stats.errors, 0, "{}", plan.name);
         assert_eq!(stats.abandoned, 0, "{}", plan.name);
